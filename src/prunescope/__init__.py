@@ -43,6 +43,7 @@ from .pruning import (
     magnitude_mask,
     one_shot_run,
     project,
+    prune_by_magnitude,
     random_mask,
     random_pruned_run,
     random_reinit_run,

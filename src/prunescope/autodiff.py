@@ -1,11 +1,12 @@
 """Reverse-mode differentiation of the MLP loss, with exact Hessian-vector
 products.
 
-The forward pass records a Tape of layer-level primitives (affine, ReLU,
-fused softmax cross-entropy) together with their activations; the gradient
-replays the tape backward once. Hessian-vector products use the classic
-R-operator trick: propagate a tangent through the forward pass, then through
-the backward pass, which yields H @ v without ever materializing H.
+The network is a fixed chain of (W, b) layers, so differentiation is written
+out as straight-line passes over it. One forward pass keeps each layer's
+input and pre-activation; the gradient walks the layers backward once.
+Hessian-vector products use the classic R-operator trick: push a tangent
+through the forward pass, then run the backward pass together with its
+tangent, which yields H @ v without ever materializing H.
 
 Two conventions worth knowing:
 
@@ -25,23 +26,6 @@ from .errors import NumericalFailureError
 from .model import LossContext, apply_mask, join_params, split_params
 
 
-@dataclass
-class Tape:
-    """Recorded forward pass: primitive nodes plus their output values.
-
-    ``nodes[i]`` is ``(kind, input_node_index, layer_index)``; ``values[i]``
-    is that node's forward output. Replaying forward then backward visits
-    each node exactly once each way.
-    """
-
-    nodes: list[tuple[str, int, int]]
-    values: list[np.ndarray]
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    labels: np.ndarray
-    probs: np.ndarray
-    loss: float
-
-
 @dataclass(frozen=True)
 class GradResult:
     loss: float
@@ -53,24 +37,24 @@ def _check_finite(x: np.ndarray, node: str) -> None:
         raise NumericalFailureError(f"non-finite value produced by node {node}")
 
 
-def _forward_chain(ctx: LossContext, layers) -> tuple[list, list]:
-    """Shared affine/ReLU chain; returns (nodes, values) ending at the logits."""
-    nodes = [("input", -1, -1)]
-    values = [ctx.features]
+def _forward(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
+    """Masked layers, each layer's input, and each layer's pre-activation.
+
+    The last pre-activation is the logits; hidden layers apply ReLU.
+    """
+    layers = split_params(ctx.spec, apply_mask(w, mask))
+    inputs: list[np.ndarray] = []
+    pre: list[np.ndarray] = []
     a = ctx.features
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
         z = a @ W.T + b
         _check_finite(z, f"affine[{i}]")
-        nodes.append(("affine", len(values) - 1, i))
-        values.append(z)
+        inputs.append(a)
+        pre.append(z)
         if i < last:
             a = np.maximum(z, 0.0)
-            nodes.append(("relu", len(values) - 1, i))
-            values.append(a)
-        else:
-            a = z
-    return nodes, values
+    return layers, inputs, pre
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -80,60 +64,42 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
     n = logits.shape[0]
     per_sample = lse[:, 0] - logits[np.arange(n), labels]
     loss = float(per_sample.mean())
+    _check_finite(np.asarray(loss), "softmax_ce")
     probs = np.exp(logits - lse)
     return loss, probs
 
 
-def build_tape(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> Tape:
-    layers = split_params(ctx.spec, apply_mask(w, mask))
-    nodes, values = _forward_chain(ctx, layers)
-    loss, probs = _softmax_ce(values[-1], ctx.labels)
-    _check_finite(np.asarray(loss), "softmax_ce")
-    nodes.append(("softmax_ce", len(values) - 1, -1))
-    values.append(np.asarray(loss))
-    return Tape(nodes, values, layers, ctx.labels, probs, loss)
+def _ce_adjoint(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d(mean cross-entropy)/d(logits) = (probs - onehot) / n."""
+    n = labels.shape[0]
+    dz = probs.copy()
+    dz[np.arange(n), labels] -= 1.0
+    dz /= n
+    return dz
 
 
 def forward_loss(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> float:
-    return build_tape(ctx, w, mask).loss
+    _, _, pre = _forward(ctx, w, mask)
+    return _softmax_ce(pre[-1], ctx.labels)[0]
 
 
 def forward_logits(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    layers = split_params(ctx.spec, apply_mask(w, mask))
-    _, values = _forward_chain(ctx, layers)
-    return values[-1]
-
-
-def _backward(tape: Tape) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Replay the tape in reverse, accumulating per-layer parameter adjoints."""
-    n = tape.labels.shape[0]
-    grads: list = [None] * len(tape.layers)
-    adjoint: dict[int, np.ndarray] = {}
-
-    for idx in range(len(tape.nodes) - 1, -1, -1):
-        kind, src, layer = tape.nodes[idx]
-        if kind == "softmax_ce":
-            dz = tape.probs.copy()
-            dz[np.arange(n), tape.labels] -= 1.0
-            dz /= n
-            adjoint[src] = dz
-        elif kind == "relu":
-            adjoint[src] = adjoint[idx] * (tape.values[src] > 0.0)
-        elif kind == "affine":
-            dz = adjoint[idx]
-            a_in = tape.values[src]
-            W, _ = tape.layers[layer]
-            grads[layer] = (dz.T @ a_in, dz.sum(axis=0))
-            if src > 0:
-                adjoint[src] = dz @ W
-    return grads
+    _, _, pre = _forward(ctx, w, mask)
+    return pre[-1]
 
 
 def grad(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> GradResult:
     """Loss and exact gradient at ``mask * w``, zeroed on masked coordinates."""
-    tape = build_tape(ctx, w, mask)
-    flat = join_params(ctx.spec, _backward(tape))
-    return GradResult(tape.loss, apply_mask(flat, mask))
+    layers, inputs, pre = _forward(ctx, w, mask)
+    loss, probs = _softmax_ce(pre[-1], ctx.labels)
+    dz = _ce_adjoint(probs, ctx.labels)
+    grads: list = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (dz.T @ inputs[i], dz.sum(axis=0))
+        if i > 0:
+            dz = (dz @ layers[i][0]) * (pre[i - 1] > 0.0)
+    flat = join_params(ctx.spec, grads)
+    return GradResult(loss, apply_mask(flat, mask))
 
 
 def hvp(ctx: LossContext, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -144,56 +110,31 @@ def hvp(ctx: LossContext, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.
     so the result is exact to machine precision for the piecewise-smooth loss.
     """
     v = apply_mask(np.asarray(v, dtype=np.float64), mask)
-    tape = build_tape(ctx, w, mask)
+    layers, inputs, pre = _forward(ctx, w, mask)
+    _, probs = _softmax_ce(pre[-1], ctx.labels)
     v_layers = split_params(ctx.spec, v)
-    n = tape.labels.shape[0]
+    n = ctx.labels.shape[0]
+    last = len(layers) - 1
 
-    # tangents of every tape value (same indexing as tape.values)
-    r_values: list = [np.zeros_like(tape.values[0])]
-    ra = r_values[0]
-    last = len(tape.layers) - 1
-    for idx in range(1, len(tape.nodes)):
-        kind, src, layer = tape.nodes[idx]
-        if kind == "affine":
-            W, _ = tape.layers[layer]
-            V, c = v_layers[layer]
-            rz = r_values[src] @ W.T + tape.values[src] @ V.T + c
-            r_values.append(rz)
-        elif kind == "relu":
-            r_values.append(r_values[src] * (tape.values[src] > 0.0))
-        else:  # softmax_ce tangent is not needed for the backward sweep
-            r_values.append(np.zeros(1))
+    # tangent forward: R{input} of every layer, ending at R{logits}
+    r_inputs = []
+    ra = np.zeros_like(ctx.features)
+    for i, ((W, _), (V, c)) in enumerate(zip(layers, v_layers)):
+        r_inputs.append(ra)
+        rz = ra @ W.T + inputs[i] @ V.T + c
+        if i < last:
+            ra = rz * (pre[i] > 0.0)
 
     # combined reverse sweep: plain adjoints dz and their tangents R{dz}
-    hgrads: list = [None] * len(tape.layers)
-    adjoint: dict[int, np.ndarray] = {}
-    r_adjoint: dict[int, np.ndarray] = {}
-    for idx in range(len(tape.nodes) - 1, -1, -1):
-        kind, src, layer = tape.nodes[idx]
-        if kind == "softmax_ce":
-            p = tape.probs
-            rz = r_values[src]
-            dz = p.copy()
-            dz[np.arange(n), tape.labels] -= 1.0
-            dz /= n
-            # R{softmax}: p * (rz - sum(p * rz))
-            rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
-            adjoint[src] = dz
-            r_adjoint[src] = rp / n
-        elif kind == "relu":
-            gate = tape.values[src] > 0.0
-            adjoint[src] = adjoint[idx] * gate
-            r_adjoint[src] = r_adjoint[idx] * gate
-        elif kind == "affine":
-            dz = adjoint[idx]
-            rdz = r_adjoint[idx]
-            a_in = tape.values[src]
-            ra_in = r_values[src]
-            W, _ = tape.layers[layer]
-            V, _ = v_layers[layer]
-            hgrads[layer] = (rdz.T @ a_in + dz.T @ ra_in, rdz.sum(axis=0))
-            if src > 0:
-                adjoint[src] = dz @ W
-                r_adjoint[src] = rdz @ W + dz @ V
+    dz = _ce_adjoint(probs, ctx.labels)
+    # R{softmax}: p * (rz - sum(p * rz))
+    rdz = probs * (rz - (probs * rz).sum(axis=1, keepdims=True)) / n
+    hgrads: list = [None] * len(layers)
+    for i in range(last, -1, -1):
+        hgrads[i] = (rdz.T @ inputs[i] + dz.T @ r_inputs[i], rdz.sum(axis=0))
+        if i > 0:
+            gate = pre[i - 1] > 0.0
+            W, V = layers[i][0], v_layers[i][0]
+            dz, rdz = (dz @ W) * gate, (rdz @ W + dz @ V) * gate
     flat = join_params(ctx.spec, hgrads)
     return apply_mask(flat, mask)

@@ -43,13 +43,14 @@ from ..pruning import (
     magnitude_mask,
     one_shot_run,
     project,
+    prune_by_magnitude,
     random_mask,
     random_pruned_run,
     random_reinit_run,
     retrain_plan,
     sparsity,
 )
-from ..pruning import INIT_STREAM, RANDOM_MASK_STREAM, _prune_smallest
+from ..pruning import INIT_STREAM, RANDOM_MASK_STREAM
 from ..trainer import Hyperparams, TrainRecord, lr_at, train
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, save_config
@@ -882,14 +883,6 @@ def stage_geometry(state: PipelineState) -> list[str]:
     return ["analysis/geometry.csv"]
 
 
-def _prune_largest(w, current, count, prunable):
-    active_idx = np.flatnonzero(np.asarray(current, bool) & prunable)
-    order = np.argsort(-np.abs(w[active_idx]), kind="stable")
-    mask = np.asarray(current, bool).copy()
-    mask[active_idx[order[:count]]] = False
-    return mask
-
-
 def stage_taylor(state: PipelineState) -> list[str]:
     actx = state.analysis_ctx
     prunable = prunable_coords(state.spec)
@@ -902,12 +895,10 @@ def stage_taylor(state: PipelineState) -> list[str]:
         cp = state.checkpoint(base_name)
         active = int((cp.mask & prunable).sum())
         count = max(1, int(0.01 * active))
-        for v_idx, (variant, mask) in enumerate(
-            (
-                ("smallest", _prune_smallest(cp.params, cp.mask, count, prunable)),
-                ("largest", _prune_largest(cp.params, cp.mask, count, prunable)),
+        for v_idx, variant in enumerate(("smallest", "largest")):
+            mask = prune_by_magnitude(
+                cp.params, cp.mask, count, prunable, largest=variant == "largest"
             )
-        ):
             predicted, actual = landscape.taylor_prune_estimate(
                 actx,
                 cp.params,

@@ -13,7 +13,8 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        # float() first: numpy-2 scalars repr as "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 

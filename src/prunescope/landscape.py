@@ -272,15 +272,14 @@ def interpolate_losses(
     ctx,
     p: np.ndarray,
     q: np.ndarray,
-    m_eval: np.ndarray | None = None,
     n_points: int = 501,
     endpoint_a: str = "p",
     endpoint_b: str = "q",
 ) -> InterpolationCurve:
     """Losses at ``n_points`` evenly spaced interpolates of p and q.
 
-    Interpolation happens in the full space (each endpoint carries its own
-    zeros), so ``m_eval`` must be the all-ones mask when supplied.
+    Interpolation and evaluation happen in the full space: each endpoint
+    carries its own zeros.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -288,14 +287,9 @@ def interpolate_losses(
         raise DimensionMismatchError("endpoints must share a layout")
     if n_points < 2:
         raise ValueError("need at least the two endpoints")
-    if m_eval is None:
-        m_eval = np.ones(p.size, dtype=bool)
-    elif not np.all(m_eval):
-        raise ValueError("interpolation is evaluated in the full space")
+    full = np.ones(p.size, dtype=bool)
     alphas = np.linspace(0.0, 1.0, n_points)
-    losses = np.array(
-        [ctx.loss(lerp(p, q, float(a)), m_eval) for a in alphas]
-    )
+    losses = np.array([ctx.loss(lerp(p, q, float(a)), full) for a in alphas])
     return InterpolationCurve(alphas, losses, endpoint_a, endpoint_b)
 
 

@@ -1,35 +1,19 @@
-"""Index-keyed parallel mapping with a thread cap from PRUNESCOPE_THREADS.
+"""Index-ordered mapping for the per-item landscape probes.
 
 Per-direction radius searches, per-cell grid losses, and per-probe samples
-are pure and independent, so results are assembled in index order and do not
-depend on scheduling. Set PRUNESCOPE_THREADS=1 to force sequential execution
-(default: machine cores).
+are pure and independent; each item derives its own random stream from its
+index, so results do not depend on evaluation order. They run sequentially:
+threads on these small numpy calls made every measured run slower.
+
+``parallel_map`` stays a named function, called from its three sites in
+``landscape``, because the benchmark harness (``perfbench/``) wraps it by
+name and reports the ``parallel.*`` metrics from those spans. Dropping it
+means dropping those metrics from ``BENCHMARK.json`` in the same change.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "PRUNESCOPE_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
-
 
 def parallel_map(fn, items):
     """Map a pure function over items, preserving input order in the result."""
-    items = list(items)
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

@@ -76,17 +76,25 @@ def sparsity(m: np.ndarray) -> float:
     return 1.0 - float(m.sum()) / m.size
 
 
-def _prune_smallest(
-    w: np.ndarray, current: np.ndarray, count: int, prunable: np.ndarray
+def prune_by_magnitude(
+    w: np.ndarray,
+    current: np.ndarray,
+    count: int,
+    prunable: np.ndarray,
+    largest: bool = False,
 ) -> np.ndarray:
-    active = current & prunable
-    active_idx = np.flatnonzero(active)
+    """Drop the ``count`` smallest-|w| (or largest-|w|) active prunable weights.
+
+    A stable sort keeps the lower-index coordinate first on ties.
+    """
+    current = np.asarray(current, dtype=bool)
+    active_idx = np.flatnonzero(current & prunable)
     if active_idx.size < 2:
         raise MaskExhaustedError(
             f"only {active_idx.size} active prunable coordinates remain"
         )
-    # stable sort on |w| keeps the lower-index coordinate first on ties
-    order = np.argsort(np.abs(w[active_idx]), kind="stable")
+    magnitude = np.abs(w[active_idx])
+    order = np.argsort(-magnitude if largest else magnitude, kind="stable")
     new_mask = current.copy()
     new_mask[active_idx[order[:count]]] = False
     return new_mask
@@ -112,13 +120,13 @@ def magnitude_mask(
         raise DimensionMismatchError("w, mask, and prunable must share a layout")
     if layer_slices is None:
         active = int((current & prunable).sum())
-        return _prune_smallest(w, current, int(fraction * active), prunable)
+        return prune_by_magnitude(w, current, int(fraction * active), prunable)
     mask = current.copy()
     for sl in layer_slices:
         scoped = np.zeros_like(prunable)
         scoped[sl] = prunable[sl]
         active = int((current & scoped).sum())
-        mask &= _prune_smallest(w, current, int(fraction * active), scoped)
+        mask &= prune_by_magnitude(w, current, int(fraction * active), scoped)
     return mask
 
 
@@ -266,7 +274,7 @@ def one_shot_run(
     then retrain with weight rewinding."""
     prunable = prunable_coords(ctx.spec)
     count = _target_prune_count(dense.mask, prunable, target_sparsity)
-    mask = _prune_smallest(dense.solution, dense.mask, count, prunable)
+    mask = prune_by_magnitude(dense.solution, dense.mask, count, prunable)
     hp = replace(hp, seed=mix_seed(hp.seed, 1_001))
     final, _, record = train(
         ctx, test, project(w_rewind, mask), mask, hp, schedule_offset=hp.rewind_step

@@ -3,8 +3,9 @@ import pytest
 from helpers import diag_quadratic, fd_gradient, fd_hvp, max_rel_err, random_net_ctx
 
 import prunescope as ps
-from prunescope.autodiff import build_tape
+from prunescope.autodiff import forward_logits
 from prunescope.errors import NumericalFailureError
+from prunescope.model import split_params
 
 
 class TestTrivialDerivatives:
@@ -138,11 +139,13 @@ class TestHvpOracle:
         )
 
 
-class TestTapeStructure:
-    def test_node_count_and_order(self):
+class TestForwardLogits:
+    def test_matches_hand_written_chain(self):
         ctx, w = random_net_ctx(5, layer_sizes=(2, 4, 4, 2))
-        tape = build_tape(ctx, w, ps.dense_mask(ctx.spec))
-        kinds = [kind for kind, _, _ in tape.nodes]
-        # input, affine/relu per hidden layer, final affine, fused CE head
-        assert kinds == ["input", "affine", "relu", "affine", "relu", "affine", "softmax_ce"]
-        assert len(tape.values) == len(tape.nodes)
+        (W1, b1), (W2, b2), (W3, b3) = split_params(ctx.spec, w)
+        h1 = np.maximum(ctx.features @ W1.T + b1, 0.0)
+        h2 = np.maximum(h1 @ W2.T + b2, 0.0)
+        expected = h2 @ W3.T + b3
+        np.testing.assert_array_equal(
+            forward_logits(ctx, w, ps.dense_mask(ctx.spec)), expected
+        )

@@ -18,6 +18,7 @@ from prunescope.experiment import (
     save_checkpoint,
 )
 from prunescope.experiment.config import config_to_dict, load_config, save_config
+from prunescope.experiment.tables import format_cell
 
 
 def _random_checkpoint(seed=0):
@@ -141,3 +142,14 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestFormatCell:
+    def test_numpy_float_written_as_plain_repr(self):
+        assert format_cell(np.float64(495.25)) == "495.25"
+        assert format_cell(np.float64(0.1)) == repr(0.1)
+
+    def test_python_values(self):
+        assert format_cell(0.1) == "0.1"
+        assert format_cell(True) == "1"
+        assert format_cell(7) == "7"

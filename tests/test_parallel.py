@@ -1,29 +1,6 @@
-import numpy as np
-
-import prunescope as ps
-from prunescope.parallel import THREADS_ENV, parallel_map, thread_count
+from prunescope.parallel import parallel_map
 
 
 class TestParallelMap:
     def test_preserves_order(self):
         assert parallel_map(lambda i: i * i, range(20)) == [i * i for i in range(20)]
-
-    def test_thread_env_respected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert thread_count() == 3
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert thread_count() == 1
-
-    def test_results_independent_of_thread_count(self, monkeypatch):
-        # radius profiles key every direction by index: any thread count
-        # yields the identical profile
-        from helpers import diag_quadratic
-
-        ctx = diag_quadratic([1.0, 4.0, 9.0])
-        center = np.zeros(3)
-        mask = np.ones(3, bool)
-        monkeypatch.setenv(THREADS_ENV, "1")
-        seq = ps.mc_radius_profile(ctx, center, mask, 32, 1.0, ps.RngStream(5))
-        monkeypatch.setenv(THREADS_ENV, "4")
-        par = ps.mc_radius_profile(ctx, center, mask, 32, 1.0, ps.RngStream(5))
-        np.testing.assert_array_equal(seq.radii, par.radii)

@@ -97,6 +97,31 @@ class TestMagnitudeMask:
             )
 
 
+class TestPruneByMagnitude:
+    def test_largest_pruned(self):
+        w = np.array([0.5, -0.1, 0.3, -0.7])
+        m = ps.prune_by_magnitude(w, np.ones(4, bool), 2, np.ones(4, bool), largest=True)
+        np.testing.assert_array_equal(m, [False, True, True, False])
+
+    def test_largest_tie_breaks_to_lower_index(self):
+        w = np.array([0.1, 0.9, -0.9, 0.2])
+        m = ps.prune_by_magnitude(w, np.ones(4, bool), 1, np.ones(4, bool), largest=True)
+        np.testing.assert_array_equal(m, [True, False, True, True])
+
+    @pytest.mark.parametrize(
+        "largest, survivors",
+        [(False, [False, True, True, False, False, True]),
+         (True, [False, True, False, True, True, False])],
+    )
+    def test_only_active_prunable_coordinates_dropped(self, largest, survivors):
+        # index 0 (largest |w|) is already pruned; index 1 (smallest) is a bias
+        w = np.array([5.0, 0.0, 4.0, 1.0, 2.0, 3.0])
+        current = np.array([False, True, True, True, True, True])
+        prunable = np.array([True, False, True, True, True, True])
+        m = ps.prune_by_magnitude(w, current, 2, prunable, largest=largest)
+        np.testing.assert_array_equal(m, survivors)
+
+
 class TestRandomMask:
     def test_count_contract(self):
         m = ps.random_mask(np.ones(10, bool), 0.5, ps.RngStream(0), np.ones(10, bool))
