@@ -7,9 +7,8 @@ import argparse
 import numpy as np
 
 from prunescope.experiment import ExperimentConfig, run_pipeline
+from prunescope.experiment.pipeline import VARIANTS
 from prunescope.experiment.tables import read_csv_dicts
-
-VARIANTS = ("one_shot", "fine_tune", "random_reinit", "rpn1", "rpn2")
 
 
 def main():

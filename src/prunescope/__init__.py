@@ -39,6 +39,7 @@ from .pruning import (
     LevelArtifacts,
     Strategy,
     fine_tune_run,
+    imp_levels,
     imp_run,
     magnitude_mask,
     one_shot_run,

@@ -58,15 +58,17 @@ def _forward(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and softmax probabilities, log-sum-exp stabilized."""
+    """Mean cross-entropy and the per-row log-sum-exp of the logits.
+
+    Callers that need the softmax probabilities form ``exp(logits - lse)``.
+    """
     zmax = logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax
     n = logits.shape[0]
     per_sample = lse[:, 0] - logits[np.arange(n), labels]
     loss = float(per_sample.mean())
     _check_finite(np.asarray(loss), "softmax_ce")
-    probs = np.exp(logits - lse)
-    return loss, probs
+    return loss, lse
 
 
 def _ce_adjoint(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -91,8 +93,8 @@ def forward_logits(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> np.ndar
 def grad(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> GradResult:
     """Loss and exact gradient at ``mask * w``, zeroed on masked coordinates."""
     layers, inputs, pre = _forward(ctx, w, mask)
-    loss, probs = _softmax_ce(pre[-1], ctx.labels)
-    dz = _ce_adjoint(probs, ctx.labels)
+    loss, lse = _softmax_ce(pre[-1], ctx.labels)
+    dz = _ce_adjoint(np.exp(pre[-1] - lse), ctx.labels)
     grads: list = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         grads[i] = (dz.T @ inputs[i], dz.sum(axis=0))
@@ -111,7 +113,8 @@ def hvp(ctx: LossContext, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.
     """
     v = apply_mask(np.asarray(v, dtype=np.float64), mask)
     layers, inputs, pre = _forward(ctx, w, mask)
-    _, probs = _softmax_ce(pre[-1], ctx.labels)
+    _, lse = _softmax_ce(pre[-1], ctx.labels)
+    probs = np.exp(pre[-1] - lse)
     v_layers = split_params(ctx.spec, v)
     n = ctx.labels.shape[0]
     last = len(layers) - 1

@@ -1,15 +1,20 @@
 """Command-line front end.
 
-Verbs map onto pipeline stages (resuming from whatever already exists in the
-output directory):
+Each verb names pipeline stages and runs them together with the stages they
+read, and nothing else, resuming from whatever already exists in the output
+directory:
 
     gen-data    dataset generation only
-    train       through dense training (init / rewind / level00 checkpoints)
-    imp         through all pruning levels
+    train       dense training (init / rewind / level00 checkpoints)
+    imp         all pruning levels
     variant X   one comparison run (one-shot | fine-tune | random-reinit | random-prune)
     analyze Y   one analysis family (eigen | radius | interp | surface | geometry | taylor)
     pipeline    everything, plots included
     plot        figures from an existing artifact directory
+
+So ``analyze radius`` and ``analyze taylor``, which read only the pruning
+levels, train no comparison variants, while ``analyze eigen``, ``interp``,
+``surface`` and ``geometry`` train the four variants first.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -21,26 +26,16 @@ import sys
 
 from ..errors import ConfigError, DivergenceError, NumericalFailureError, PrunescopeError
 from .config import ExperimentConfig, load_config
-from .pipeline import STAGES, run_pipeline
+from .pipeline import run_pipeline
 
+_VERB_STAGES = {"gen-data": "data", "train": "dense", "imp": "imp"}
 _VARIANT_STAGES = {
     "one-shot": "variant_one_shot",
     "fine-tune": "variant_fine_tune",
     "random-reinit": "variant_random_reinit",
     "random-prune": "variant_random_prune",
 }
-_ANALYZE_STAGES = {
-    "eigen": "eigen",
-    "radius": "radius",
-    "interp": "interp",
-    "surface": "surface",
-    "geometry": "geometry",
-    "taylor": "taylor",
-}
-
-
-def _stages_through(last: str) -> list[str]:
-    return list(STAGES[: STAGES.index(last) + 1])
+_ANALYSES = ("eigen", "geometry", "interp", "radius", "surface", "taylor")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     variant = add("variant", help="run one comparison strategy")
     variant.add_argument("which", choices=sorted(_VARIANT_STAGES))
     analyze = add("analyze", help="run one analysis family")
-    analyze.add_argument("which", choices=sorted(_ANALYZE_STAGES))
+    analyze.add_argument("which", choices=_ANALYSES)
     add("pipeline", help="run every stage including plots")
     add("plot", help="emit SVG figures from an existing artifact directory")
     return parser
@@ -77,25 +72,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load(args)
         out = args.out if args.out else cfg.out_dir
-        if args.verb == "gen-data":
-            run_pipeline(cfg, out, stages=_stages_through("data"))
-        elif args.verb == "train":
-            run_pipeline(cfg, out, stages=_stages_through("dense"))
-        elif args.verb == "imp":
-            run_pipeline(cfg, out, stages=_stages_through("imp"))
-        elif args.verb == "variant":
-            stage = _VARIANT_STAGES[args.which]
-            run_pipeline(cfg, out, stages=_stages_through("imp") + [stage])
-        elif args.verb == "analyze":
-            stage = _ANALYZE_STAGES[args.which]
-            prereq = _stages_through("variant_random_prune")
-            run_pipeline(cfg, out, stages=prereq + [stage])
-        elif args.verb == "pipeline":
-            run_pipeline(cfg, out)
-        elif args.verb == "plot":
+        if args.verb == "plot":
             from .plots import emit_plots
 
             emit_plots(out)
+        elif args.verb == "pipeline":
+            run_pipeline(cfg, out)
+        elif args.verb == "variant":
+            run_pipeline(cfg, out, stages=[_VARIANT_STAGES[args.which]])
+        elif args.verb == "analyze":
+            run_pipeline(cfg, out, stages=[args.which])
+        else:
+            run_pipeline(cfg, out, stages=[_VERB_STAGES[args.verb]])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,18 @@
 """Stage-based pipeline reproducing the full experiment suite.
 
-Stages run in a fixed order, each writing its artifacts under the output
-directory and updating ``manifest.json`` (artifact names + SHA-256 hashes).
-A rerun with the same config resumes after the last completed stage by
-reloading checkpoints from disk, and a finished pipeline is byte-for-byte
-reproducible: every random stream derives from the master seed, and no
-artifact embeds wall-clock state.
+``STAGE_TABLE`` declares every stage once: its name, its function, the
+stages whose artifacts it reads, and whether it only runs when
+``imp.levels`` > 0 (otherwise it completes with no artifacts). ``STAGES``
+is the table's order. A request for some stages runs them together with
+everything they read, transitively, in that order.
+
+Each stage writes its artifacts under the output directory and updates
+``manifest.json`` (artifact names + SHA-256 hashes). A rerun with the same
+config skips completed stages by reloading checkpoints from disk, and a
+finished pipeline is byte-for-byte reproducible: every random stream derives
+from the master seed, and no artifact embeds wall-clock state. The dense and
+imp stages train through :func:`prunescope.pruning.imp_levels`, the same IMP
+loop that :func:`prunescope.pruning.imp_run` drives.
 
 Artifact layout:
 
@@ -24,7 +31,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +40,16 @@ import numpy as np
 from .. import landscape
 from ..data import Dataset, analysis_subset, gen_spirals, load_csv, load_idx, save_csv
 from ..errors import ArtifactMissingError, ConfigError
-from ..model import LossContext, NetworkSpec, loss_on, accuracy_on, prunable_coords, dense_mask
-from ..numerics import RngStream, mix_seed
+from ..model import LossContext, NetworkSpec, loss_on, accuracy_on, prunable_coords
+from ..numerics import RngStream
 from ..pruning import (
+    RANDOM_MASK_STREAM,
     ImpConfig,
+    ImpResult,
     LevelArtifacts,
     Strategy,
     fine_tune_run,
-    level_hp,
+    imp_levels,
     magnitude_mask,
     one_shot_run,
     project,
@@ -47,11 +57,9 @@ from ..pruning import (
     random_mask,
     random_pruned_run,
     random_reinit_run,
-    retrain_plan,
     sparsity,
 )
-from ..pruning import INIT_STREAM, RANDOM_MASK_STREAM
-from ..trainer import Hyperparams, TrainRecord, lr_at, train
+from ..trainer import Hyperparams, TrainRecord
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, save_config
 from .tables import write_csv
@@ -65,25 +73,6 @@ RADIUS_STREAM = 0x4AD1_0001
 TAYLOR_STREAM = 0x7A71_0001
 
 VARIANTS = ("one_shot", "fine_tune", "random_reinit", "rpn1", "rpn2")
-
-STAGES = (
-    "data",
-    "dense",
-    "imp",
-    "variant_one_shot",
-    "variant_fine_tune",
-    "variant_random_reinit",
-    "variant_random_prune",
-    "metrics",
-    "distances",
-    "eigen",
-    "radius",
-    "interp",
-    "surface",
-    "geometry",
-    "taylor",
-    "plots",
-)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -107,7 +96,7 @@ class PipelineState:
         self._test_ds: Dataset | None = None
         self._analysis_ctx: LossContext | None = None
         self._checkpoints: dict[str, Checkpoint] = {}
-        self._dense_snapshots: list | None = None  # handed from dense to imp
+        self._dense: ImpResult | None = None  # handed from dense to imp
 
     # ---- datasets -----------------------------------------------------
     def set_datasets(self, train: Dataset, test: Dataset) -> None:
@@ -213,26 +202,22 @@ def _make_checkpoint(
     )
 
 
-def _write_train_metrics(
-    state: PipelineState,
-    name: str,
-    record: TrainRecord,
-    hp: Hyperparams,
-    offset: int,
-) -> str:
-    steps_per_epoch = math.ceil(state.train_ds.n / hp.batch_size)
+def _write_train_metrics(state: PipelineState, name: str, record: TrainRecord) -> str:
     rows = [
-        [
-            epoch,
-            record.train_loss[epoch],
-            record.test_acc[epoch],
-            lr_at(hp, offset + epoch * steps_per_epoch, steps_per_epoch),
-        ]
-        for epoch in range(len(record.train_loss))
+        [epoch, loss, acc, lr]
+        for epoch, (loss, acc, lr) in enumerate(
+            zip(record.train_loss, record.test_acc, record.lr)
+        )
     ]
     rel = f"metrics/train_{name}.csv"
     write_csv(state.out / rel, ["epoch", "train_loss", "test_acc", "lr"], rows)
     return rel
+
+
+def _store_run(state: PipelineState, name: str, art: LevelArtifacts, role: str) -> list[str]:
+    """Checkpoint and per-epoch train metrics of one trained solution."""
+    cp = _make_checkpoint(state, art.solution, art.mask, art.level, role, art.record.steps)
+    return [state.store_checkpoint(name, cp), _write_train_metrics(state, name, art.record)]
 
 
 # --------------------------------------------------------------------------
@@ -278,36 +263,22 @@ def stage_data(state: PipelineState) -> list[str]:
 
 
 def stage_dense(state: PipelineState) -> list[str]:
-    cfg = state.imp_cfg
-    from ..model import init_params
-
-    w_init = init_params(state.spec, RngStream(cfg.hp.seed, INIT_STREAM))
-    mask = dense_mask(state.spec)
-    final, w_rewind, record = train(
-        state.train_ctx,
-        state.test_ds,
-        w_init,
-        mask,
-        level_hp(cfg.hp, 0),
-        schedule_offset=0,
-        record_snapshots=True,
+    result = imp_levels(
+        state.train_ctx, state.test_ds, state.imp_cfg, 0, record_snapshots=True
     )
-    state._dense_snapshots = record.epoch_params
-    artifacts = [
+    state._dense = result
+    dense = result.levels[0]
+    return [
         state.store_checkpoint(
-            "init", _make_checkpoint(state, w_init, mask, 0, "init", 0)
+            "init", _make_checkpoint(state, result.w_init, dense.mask, 0, "init", 0)
         ),
         state.store_checkpoint(
             "rewind",
-            _make_checkpoint(state, w_rewind, mask, 0, "rewind_point", cfg.hp.rewind_step),
+            _make_checkpoint(
+                state, result.w_rewind, dense.mask, 0, "rewind_point", state.hp.rewind_step
+            ),
         ),
-        state.store_checkpoint(
-            _level_name(0),
-            _make_checkpoint(state, final, mask, 0, "minimum", record.steps),
-        ),
-        _write_train_metrics(state, _level_name(0), record, level_hp(cfg.hp, 0), 0),
-    ]
-    return artifacts
+    ] + _store_run(state, _level_name(0), dense, "minimum")
 
 
 def _trajectory_rows(
@@ -332,69 +303,35 @@ def _trajectory_rows(
 
 
 def stage_imp(state: PipelineState) -> list[str]:
-    cfg = state.imp_cfg
-    if cfg.levels == 0:
-        return []
-    prunable = prunable_coords(state.spec)
-    slices = None
-    if cfg.per_layer:
-        from ..model import layer_slices as _layer_slices
-
-        slices = [w_sl for w_sl, _, _ in _layer_slices(state.spec)]
-    w_rewind = state.checkpoint("rewind").params
-    prev = state.level_artifact(0)
-    prev_snapshots = state._dense_snapshots
-    if prev_snapshots is None:
+    dense = state._dense
+    if dense is None:
         # resumed run: the dense stage's in-memory snapshots are gone, so
         # trajectories are rebuilt by replaying the dense run deterministically
-        from ..model import init_params
+        dense = imp_levels(
+            state.train_ctx, state.test_ds, state.imp_cfg, 0, record_snapshots=True
+        )
+    artifacts: list[str] = []
+    prev = dense.levels[0]
 
-        w_init = init_params(state.spec, RngStream(cfg.hp.seed, INIT_STREAM))
-        _, _, record0 = train(
-            state.train_ctx,
-            state.test_ds,
-            w_init,
-            dense_mask(state.spec),
-            level_hp(cfg.hp, 0),
-            schedule_offset=0,
-            record_snapshots=True,
-        )
-        prev_snapshots = record0.epoch_params
-
-    artifacts = []
-    for level in range(1, cfg.levels + 1):
-        mask = magnitude_mask(
-            prev.solution, prev.mask, cfg.prune_fraction_per_round,
-            prunable, layer_slices=slices,
-        )
-        start, hp, offset = retrain_plan(
-            cfg, level, mask, prev.solution, w_rewind, state.train_ctx
-        )
-        final, _, record = train(
-            state.train_ctx,
-            state.test_ds,
-            start,
-            mask,
-            hp,
-            schedule_offset=offset,
-            record_snapshots=True,
-        )
-        name = _level_name(level)
-        artifacts.append(
-            state.store_checkpoint(
-                name, _make_checkpoint(state, final, mask, level, "minimum", record.steps)
-            )
-        )
-        artifacts.append(_write_train_metrics(state, name, record, hp, offset))
+    def persist(art: LevelArtifacts) -> None:
+        nonlocal prev
+        name = _level_name(art.level)
+        artifacts.extend(_store_run(state, name, art, "minimum"))
         rel = f"metrics/trajectory_{name}.csv"
         write_csv(
             state.out / rel,
             ["epoch", "loss_current", "loss_prev_projected"],
-            _trajectory_rows(state, record.epoch_params, prev_snapshots, mask),
+            _trajectory_rows(state, art.record.epoch_params, prev.record.epoch_params, art.mask),
         )
         artifacts.append(rel)
-        prev = LevelArtifacts(level, mask, final, record)
-        prev_snapshots = record.epoch_params
+        # only the newest level's snapshots are read again; free the rest
+        prev.record.epoch_params = None
+        prev = art
+
+    imp_levels(
+        state.train_ctx, state.test_ds, state.imp_cfg, state.cfg.imp.levels,
+        done=dense, on_level=persist, record_snapshots=True,
+    )
     return artifacts
 
 
@@ -402,79 +339,45 @@ def _variant_target_sparsity(state: PipelineState) -> float:
     return sparsity(state.checkpoint(_level_name(state.cfg.imp.levels)).mask)
 
 
-def _store_variant(state: PipelineState, name: str, art: LevelArtifacts, hp, offset) -> list[str]:
-    rels = [
-        state.store_checkpoint(
-            name,
-            _make_checkpoint(
-                state, art.solution, art.mask, art.level, f"variant:{name}", art.record.steps
-            ),
-        ),
-        _write_train_metrics(state, name, art.record, hp, offset),
-    ]
-    return rels
-
-
 def stage_variant_one_shot(state: PipelineState) -> list[str]:
-    if state.cfg.imp.levels == 0:
-        return []
-    cfg = state.imp_cfg
     art = one_shot_run(
         state.train_ctx,
         state.test_ds,
         state.level_artifact(0),
         state.checkpoint("rewind").params,
         _variant_target_sparsity(state),
-        cfg.hp,
+        state.hp,
     )
-    hp = replace(cfg.hp, seed=mix_seed(cfg.hp.seed, 1_001))
-    return _store_variant(state, "one_shot", art, hp, cfg.hp.rewind_step)
+    return _store_run(state, "one_shot", art, "variant:one_shot")
 
 
 def stage_variant_fine_tune(state: PipelineState) -> list[str]:
-    if state.cfg.imp.levels == 0:
-        return []
     cfg = state.imp_cfg
-    source = state.level_artifact(cfg.levels - 1)
     art = fine_tune_run(
         state.train_ctx,
         state.test_ds,
-        source,
+        state.level_artifact(cfg.levels - 1),
         cfg.prune_fraction_per_round,
         cfg.hp,
         ft_lr=cfg.ft_lr,
         ft_epochs=cfg.ft_epochs,
     )
-    ft_hp = replace(
-        cfg.hp,
-        epochs=cfg.ft_epochs,
-        lr0=cfg.ft_lr,
-        decay_epochs=(),
-        rewind_step=0,
-        seed=mix_seed(cfg.hp.seed, 1_002),
-    )
-    return _store_variant(state, "fine_tune", art, ft_hp, 0)
+    return _store_run(state, "fine_tune", art, "variant:fine_tune")
 
 
 def stage_variant_random_reinit(state: PipelineState) -> list[str]:
-    if state.cfg.imp.levels == 0:
-        return []
     cfg = state.imp_cfg
     source = state.level_artifact(cfg.levels - 1)
     art = random_reinit_run(
         state.train_ctx, state.test_ds, source, cfg.prune_fraction_per_round, cfg.hp
     )
-    hp = replace(cfg.hp, seed=mix_seed(cfg.hp.seed, 1_003))
-    return _store_variant(state, "random_reinit", art, hp, 0)
+    return _store_run(state, "random_reinit", art, "variant:random_reinit")
 
 
 def stage_variant_random_prune(state: PipelineState) -> list[str]:
-    if state.cfg.imp.levels == 0:
-        return []
     cfg = state.imp_cfg
     w_rewind = state.checkpoint("rewind").params
     mask_stream = RngStream(state.cfg.master_seed, RANDOM_MASK_STREAM)
-    hp = replace(cfg.hp, seed=mix_seed(cfg.hp.seed, 1_004))
     rpn1 = random_pruned_run(
         state.train_ctx,
         state.test_ds,
@@ -493,9 +396,9 @@ def stage_variant_random_prune(state: PipelineState) -> list[str]:
         w_rewind,
         target_sparsity=_variant_target_sparsity(state),
     )
-    out = _store_variant(state, "rpn1", rpn1, hp, cfg.hp.rewind_step)
-    out += _store_variant(state, "rpn2", rpn2, hp, cfg.hp.rewind_step)
-    return out
+    return _store_run(state, "rpn1", rpn1, "variant:rpn1") + _store_run(
+        state, "rpn2", rpn2, "variant:rpn2"
+    )
 
 
 def _point_names(state: PipelineState) -> list[str]:
@@ -563,8 +466,6 @@ def stage_metrics(state: PipelineState) -> list[str]:
 
 
 def stage_distances(state: PipelineState) -> list[str]:
-    if state.cfg.imp.levels == 0:
-        return []
     w_rewind = state.checkpoint("rewind").params
     rows = []
     for level in range(1, state.cfg.imp.levels + 1):
@@ -675,8 +576,6 @@ def stage_eigen(state: PipelineState) -> list[str]:
 
 def stage_radius(state: PipelineState) -> list[str]:
     levels = state.cfg.imp.levels
-    if levels == 0:
-        return []
     actx = state.analysis_ctx
     n_dir = state.cfg.analysis.n_directions
     base = RngStream(state.cfg.master_seed, RADIUS_STREAM)
@@ -753,19 +652,15 @@ def _interp_pairs(state: PipelineState) -> list[tuple[str, str, str]]:
         )
         for level in range(1, levels + 1)
     ]
-    if levels > 0:
-        pairs += [
-            ("interp_random_reinit", _level_name(levels - 1), "random_reinit"),
-            ("interp_one_shot", _level_name(0), "one_shot"),
-            ("interp_rpn2", _level_name(0), "rpn2"),
-            ("interp_rpn1", _level_name(levels - 1), "rpn1"),
-        ]
-    return pairs
+    return pairs + [
+        ("interp_random_reinit", _level_name(levels - 1), "random_reinit"),
+        ("interp_one_shot", _level_name(0), "one_shot"),
+        ("interp_rpn2", _level_name(0), "rpn2"),
+        ("interp_rpn1", _level_name(levels - 1), "rpn1"),
+    ]
 
 
 def stage_interp(state: PipelineState) -> list[str]:
-    if state.cfg.imp.levels == 0:
-        return []
     actx = state.analysis_ctx
     n_points = state.cfg.analysis.interp_points
     artifacts = []
@@ -807,8 +702,6 @@ def stage_interp(state: PipelineState) -> list[str]:
 
 def stage_surface(state: PipelineState) -> list[str]:
     levels = state.cfg.imp.levels
-    if levels == 0:
-        return []
     actx = state.analysis_ctx
     a = state.cfg.analysis
     anchor_names = (_level_name(0), _level_name(levels), "random_reinit")
@@ -932,24 +825,58 @@ def stage_plots(state: PipelineState) -> list[str]:
     return emit_plots(state.out)
 
 
-_STAGE_FUNCS = {
-    "data": stage_data,
-    "dense": stage_dense,
-    "imp": stage_imp,
-    "variant_one_shot": stage_variant_one_shot,
-    "variant_fine_tune": stage_variant_fine_tune,
-    "variant_random_reinit": stage_variant_random_reinit,
-    "variant_random_prune": stage_variant_random_prune,
-    "metrics": stage_metrics,
-    "distances": stage_distances,
-    "eigen": stage_eigen,
-    "radius": stage_radius,
-    "interp": stage_interp,
-    "surface": stage_surface,
-    "geometry": stage_geometry,
-    "taylor": stage_taylor,
-    "plots": stage_plots,
-}
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    func: Callable[[PipelineState], list[str]]
+    reads: tuple[str, ...] = ()  # stages whose artifacts this one reads
+    needs_levels: bool = False  # skipped (no artifacts) when imp.levels == 0
+
+
+# every stage that trains a solution the analyses compare
+_SOLUTIONS = (
+    "imp",
+    "variant_one_shot",
+    "variant_fine_tune",
+    "variant_random_reinit",
+    "variant_random_prune",
+)
+
+# in run order; a stage reads only stages above it
+STAGE_TABLE = (
+    Stage("data", stage_data),
+    Stage("dense", stage_dense, ("data",)),
+    Stage("imp", stage_imp, ("dense",), needs_levels=True),
+    Stage("variant_one_shot", stage_variant_one_shot, ("imp",), needs_levels=True),
+    Stage("variant_fine_tune", stage_variant_fine_tune, ("imp",), needs_levels=True),
+    Stage("variant_random_reinit", stage_variant_random_reinit, ("imp",), needs_levels=True),
+    Stage("variant_random_prune", stage_variant_random_prune, ("imp",), needs_levels=True),
+    Stage("metrics", stage_metrics, _SOLUTIONS),
+    Stage("distances", stage_distances, ("imp",), needs_levels=True),
+    Stage("eigen", stage_eigen, _SOLUTIONS),
+    Stage("radius", stage_radius, ("imp",), needs_levels=True),
+    Stage("interp", stage_interp, _SOLUTIONS, needs_levels=True),
+    Stage("surface", stage_surface, _SOLUTIONS, needs_levels=True),
+    Stage("geometry", stage_geometry, _SOLUTIONS),
+    Stage("taylor", stage_taylor, ("imp",)),
+    Stage(
+        "plots",
+        stage_plots,
+        ("metrics", "distances", "eigen", "radius", "interp", "surface", "geometry", "taylor"),
+    ),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+# looked up at call time, so a caller may rewrap a stage's function here
+_STAGE_FUNCS = {stage.name: stage.func for stage in STAGE_TABLE}
+
+
+def _with_reads(requested) -> set[str]:
+    """The requested stages plus everything they read, transitively."""
+    wanted = set(requested)
+    for stage in reversed(STAGE_TABLE):
+        if stage.name in wanted:
+            wanted.update(stage.reads)
+    return wanted
 
 
 def _empty_manifest(cfg: ExperimentConfig) -> dict:
@@ -981,7 +908,8 @@ def run_pipeline(
     stages: list[str] | None = None,
     resume: bool = True,
 ) -> dict:
-    """Execute the requested stages (default: all), returning the manifest.
+    """Execute the requested stages (default: all) and every stage they read,
+    in table order, returning the manifest.
 
     With ``resume`` (the default), stages already marked complete in an
     existing manifest for the same config are skipped; a config change
@@ -990,10 +918,11 @@ def run_pipeline(
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    requested = list(STAGES) if stages is None else list(stages)
+    requested = STAGES if stages is None else list(stages)
     unknown = set(requested) - set(STAGES)
     if unknown:
         raise ConfigError(f"unknown pipeline stages {sorted(unknown)}")
+    wanted = _with_reads(requested)
 
     manifest = _empty_manifest(cfg)
     if resume and (out / MANIFEST_NAME).exists():
@@ -1002,17 +931,17 @@ def run_pipeline(
             manifest = previous
 
     state = PipelineState(cfg, out)
-    for stage in STAGES:
-        if stage not in requested:
+    for stage in STAGE_TABLE:
+        name = stage.name
+        if name not in wanted or (resume and name in manifest["complete"]):
             continue
-        if resume and stage in manifest["complete"]:
-            continue
-        artifacts = _STAGE_FUNCS[stage](state)
-        manifest["stages"][stage] = sorted(artifacts)
+        skipped = stage.needs_levels and cfg.imp.levels == 0
+        artifacts = [] if skipped else _STAGE_FUNCS[name](state)
+        manifest["stages"][name] = sorted(artifacts)
         for rel in artifacts:
             manifest["hashes"][rel] = _sha256(out / rel)
-        if stage not in manifest["complete"]:
-            manifest["complete"].append(stage)
+        if name not in manifest["complete"]:
+            manifest["complete"].append(name)
         manifest["complete"] = [s for s in STAGES if s in manifest["complete"]]
         _write_manifest(out, manifest)
     return manifest

@@ -18,7 +18,14 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatchError, DivergenceError, MaskExhaustedError
-from .model import LossContext, apply_mask, dense_mask, init_params, prunable_coords
+from .model import (
+    LossContext,
+    apply_mask,
+    dense_mask,
+    init_params,
+    layer_slices,
+    prunable_coords,
+)
 from .numerics import RngStream, mix_seed
 from .trainer import Hyperparams, TrainRecord, train
 
@@ -63,11 +70,12 @@ class LevelArtifacts:
 
 @dataclass
 class ImpResult:
-    """Per-level artifacts plus the dense run's init and rewind vectors."""
+    """Per-level artifacts plus the dense run's init and rewind vectors
+    (the rewind vector is None until level 0 is trained)."""
 
     levels: list[LevelArtifacts]
     w_init: np.ndarray
-    w_rewind: np.ndarray
+    w_rewind: np.ndarray | None
 
 
 def sparsity(m: np.ndarray) -> float:
@@ -188,61 +196,70 @@ def retrain_plan(
     return apply_mask(fresh, mask), hp, 0
 
 
-def imp_run(
+def imp_levels(
     ctx: LossContext,
     test: Dataset,
     cfg: ImpConfig,
+    through: int,
+    done: ImpResult | None = None,
     on_level=None,
     record_snapshots: bool = False,
 ) -> ImpResult:
-    """Dense training followed by ``cfg.levels`` prune/retrain rounds.
+    """The IMP loop: train every level after those in ``done`` up to ``through``.
 
     Level 0 trains the dense network from a fresh initialization and captures
     the rewind point. Each later level prunes the previous solution's mask by
-    one round and retrains according to the configured strategy. ``on_level``
-    (if given) is called with each finished LevelArtifacts, which is how the
-    pipeline persists checkpoints as they appear.
+    one round and retrains according to the configured strategy; a round
+    that prunes nothing raises MaskExhaustedError. ``on_level`` (if given) is
+    called with each finished LevelArtifacts, which is how the pipeline
+    persists checkpoints as they appear. A DivergenceError carries the level
+    it happened at.
     """
     prunable = prunable_coords(ctx.spec)
     slices = None
     if cfg.per_layer:
-        from .model import layer_slices as _layer_slices
+        slices = [w_sl for w_sl, _, _ in layer_slices(ctx.spec)]
+    if done is None:
+        done = ImpResult([], init_params(ctx.spec, RngStream(cfg.hp.seed, INIT_STREAM)), None)
+    result = ImpResult(list(done.levels), done.w_init, done.w_rewind)
 
-        slices = [w_sl for w_sl, _, _ in _layer_slices(ctx.spec)]
-    w_init = init_params(ctx.spec, RngStream(cfg.hp.seed, INIT_STREAM))
-    mask = dense_mask(ctx.spec)
-    try:
-        final, w_rewind, record = train(
-            ctx, test, w_init, mask, level_hp(cfg.hp, 0),
-            schedule_offset=0, record_snapshots=record_snapshots,
-        )
-    except DivergenceError as exc:
-        exc.level = 0
-        raise
-    levels = [LevelArtifacts(0, mask, final, record)]
-    if on_level is not None:
-        on_level(levels[0])
-
-    for level in range(1, cfg.levels + 1):
-        mask = magnitude_mask(
-            levels[-1].solution, levels[-1].mask, cfg.prune_fraction_per_round,
-            prunable, layer_slices=slices,
-        )
-        start, hp, offset = retrain_plan(
-            cfg, level, mask, levels[-1].solution, w_rewind, ctx
-        )
+    for level in range(len(result.levels), through + 1):
+        if level == 0:
+            mask = dense_mask(ctx.spec)
+            start, hp, offset = result.w_init, level_hp(cfg.hp, 0), 0
+        else:
+            prev = result.levels[-1]
+            mask = magnitude_mask(
+                prev.solution, prev.mask, cfg.prune_fraction_per_round,
+                prunable, layer_slices=slices,
+            )
+            if np.array_equal(mask, prev.mask):
+                raise MaskExhaustedError(
+                    f"IMP level {level}: a {cfg.prune_fraction_per_round} round of "
+                    f"{int((prev.mask & prunable).sum())} active weights prunes nothing"
+                )
+            start, hp, offset = retrain_plan(
+                cfg, level, mask, prev.solution, result.w_rewind, ctx
+            )
         try:
-            final, _, record = train(
+            final, rewind, record = train(
                 ctx, test, start, mask, hp,
                 schedule_offset=offset, record_snapshots=record_snapshots,
             )
         except DivergenceError as exc:
             exc.level = level
             raise
-        levels.append(LevelArtifacts(level, mask, final, record))
+        if level == 0:
+            result.w_rewind = rewind
+        result.levels.append(LevelArtifacts(level, mask, final, record))
         if on_level is not None:
-            on_level(levels[-1])
-    return ImpResult(levels, w_init, w_rewind)
+            on_level(result.levels[-1])
+    return result
+
+
+def imp_run(ctx: LossContext, test: Dataset, cfg: ImpConfig) -> ImpResult:
+    """Dense training followed by ``cfg.levels`` prune/retrain rounds."""
+    return imp_levels(ctx, test, cfg, cfg.levels)
 
 
 def _target_prune_count(

@@ -59,6 +59,7 @@ class TrainRecord:
 
     train_loss: list[float] = field(default_factory=list)
     test_acc: list[float] = field(default_factory=list)
+    lr: list[float] = field(default_factory=list)  # at each epoch's first step
     steps: int = 0
     wall_time: float = 0.0
     epoch_params: list[np.ndarray] | None = None
@@ -122,6 +123,9 @@ def train(
                 rewind = w.copy()
         record.train_loss.append(loss_sum / ctx.n)
         record.test_acc.append(accuracy_on(test_ctx, w, mask))
+        record.lr.append(
+            lr_at(hp, schedule_offset + epoch * steps_per_epoch, steps_per_epoch)
+        )
         if record.epoch_params is not None:
             record.epoch_params.append(w.copy())
 

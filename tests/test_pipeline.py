@@ -5,14 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from prunescope.errors import ArtifactMissingError
+from prunescope.errors import ArtifactMissingError, ConfigError, DivergenceError
 from prunescope.experiment import ExperimentConfig, emit_plots, load_manifest, run_pipeline
+from prunescope.experiment import cli
 from prunescope.experiment.config import (
     AnalysisSettings,
     ImpSettings,
     SpiralsSource,
     TrainingSettings,
+    config_to_dict,
 )
+from prunescope.experiment.pipeline import STAGE_TABLE, STAGES
 from prunescope.experiment.tables import read_csv_dicts
 
 
@@ -123,6 +126,51 @@ class TestDeterminismAndResume:
         manifest = run_pipeline(changed, out, stages=["data"])
         assert manifest["complete"] == ["data"]
         assert manifest["config"]["master_seed"] == 99
+
+
+class TestStageTable:
+    def test_reads_name_earlier_stages(self):
+        # run_pipeline closes over reads in one backward pass over the table
+        for i, stage in enumerate(STAGE_TABLE):
+            assert set(stage.reads) <= set(STAGES[:i]), stage.name
+
+    def test_stage_runs_with_what_it_reads_only(self, run_dir, tmp_path):
+        manifest = run_pipeline(small_config(), tmp_path / "radius", stages=["radius"])
+        assert manifest["complete"] == ["data", "dense", "imp", "radius"]
+        full = load_manifest(run_dir)["hashes"]
+        radius = manifest["stages"]["radius"]
+        assert radius
+        assert {rel: manifest["hashes"][rel] for rel in radius} == {
+            rel: full[rel] for rel in radius
+        }
+
+    def test_unknown_stage_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="nope"):
+            run_pipeline(small_config(), tmp_path / "x", stages=["radius", "nope"])
+
+    def test_analyze_taylor_trains_no_variants(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(small_config())))
+        out = tmp_path / "taylor"
+        assert cli.main(["analyze", "taylor", "--config", str(cfg_path), "--out", str(out)]) == 0
+        complete = load_manifest(out)["complete"]
+        assert complete == ["data", "dense", "imp", "taylor"]
+        assert not [s for s in complete if s.startswith("variant_")]
+
+    def test_divergence_names_level_zero(self, tmp_path):
+        cfg = ExperimentConfig(
+            dataset=SpiralsSource(train_per_class=20, test_per_class=10, classes=3, noise_std=0.15),
+            network=(2, 8, 3),
+            training=TrainingSettings(
+                epochs=2, batch_size=16, lr0=1000.0, weight_decay=10.0,
+                decay_epochs=(), rewind_step=0,
+            ),
+            imp=ImpSettings(levels=1),
+            master_seed=1,
+        )
+        with pytest.raises(DivergenceError) as info:
+            run_pipeline(cfg, tmp_path / "dv")
+        assert info.value.level == 0
 
 
 class TestDegenerateConfig:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,33 @@ class TestImpRun:
         b = ps.imp_run(ctx, test_ds, _small_cfg(levels=2, seed=9))
         for la, lb in zip(a.levels, b.levels):
             np.testing.assert_array_equal(la.solution, lb.solution)
+
+
+    def test_continued_loop_matches_one_run(self):
+        spec, ctx, test_ds = _small_problem(11)
+        cfg = _small_cfg(levels=3, seed=4)
+        whole = ps.imp_run(ctx, test_ds, cfg)
+        seen = []
+        first = ps.imp_levels(ctx, test_ds, cfg, 1)
+        rest = ps.imp_levels(
+            ctx, test_ds, cfg, 3, done=first, on_level=lambda art: seen.append(art.level)
+        )
+        assert seen == [2, 3]
+        np.testing.assert_array_equal(rest.w_rewind, whole.w_rewind)
+        for la, lb in zip(rest.levels, whole.levels, strict=True):
+            np.testing.assert_array_equal(la.mask, lb.mask)
+            np.testing.assert_array_equal(la.solution, lb.solution)
+
+    def test_round_that_prunes_nothing_raises(self):
+        spec = ps.NetworkSpec((2, 2, 3))
+        assert int(ps.prunable_coords(spec).sum()) == 10
+        train_ds = ps.gen_spirals(8, 3, 0.2, ps.RngStream(0, 10))
+        test_ds = ps.gen_spirals(4, 3, 0.2, ps.RngStream(0, 11))
+        ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
+        # floor(0.05 * 10) = 0: the first round would retrain the dense mask
+        cfg = replace(_small_cfg(levels=2), prune_fraction_per_round=0.05)
+        with pytest.raises(MaskExhaustedError, match="level 1"):
+            ps.imp_run(ctx, test_ds, cfg)
 
 
 class TestVariantRuns:

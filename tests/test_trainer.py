@@ -131,6 +131,18 @@ class TestTrain:
         assert len(record.test_acc) == 4
         assert record.steps == 4 * int(np.ceil(ctx.n / hp.batch_size))
 
+    def test_record_lr_follows_offset_schedule(self):
+        spec, ctx, test_ds, w0 = _setup(4)
+        hp = _hp(epochs=4, decay_epochs=(1, 3), decay_factor=0.5)
+        spe = int(np.ceil(ctx.n / hp.batch_size))
+        offset = spe + 3  # mid-way through schedule epoch 1
+        _, _, record = train(
+            ctx, test_ds, w0, ps.dense_mask(spec), hp, schedule_offset=offset
+        )
+        assert record.lr == [lr_at(hp, offset + e * spe, spe) for e in range(4)]
+        # schedule epochs 1..4 have passed one, one, two and two decays
+        assert record.lr == [0.05, 0.05, 0.025, 0.025]
+
     def test_schedule_offset_changes_updates(self):
         spec, ctx, test_ds, w0 = _setup(5)
         mask = ps.dense_mask(spec)
