@@ -2,7 +2,7 @@
 and measures the geometry of the loss landscape around the solutions."""
 
 from .autodiff import GradResult, grad, hvp
-from .data import Dataset, DataSlice, analysis_subset, batches, gen_spirals, load_csv, load_idx
+from .data import Dataset, DataSlice, analysis_subset, gen_spirals, load_csv, load_idx
 from .landscape import (
     Barrier,
     EigenReport,
@@ -34,21 +34,20 @@ from .model import (
 from .numerics import RngStream, Tridiagonal, lerp, plane_basis, project_to_plane
 from .numerics import random_unit_direction, tridiag_eigenvalues
 from .pruning import (
+    VARIANT_TABLE,
     ImpConfig,
     ImpResult,
     LevelArtifacts,
     Strategy,
-    fine_tune_run,
+    Variant,
     imp_levels,
     imp_run,
     magnitude_mask,
-    one_shot_run,
     project,
     prune_by_magnitude,
     random_mask,
-    random_pruned_run,
-    random_reinit_run,
     sparsity,
+    variant_run,
 )
 from .trainer import Hyperparams, TrainRecord, lr_at, train
 

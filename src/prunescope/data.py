@@ -260,12 +260,6 @@ def epoch_batches(n: int, batch_size: int, epoch: int, rng: RngStream) -> list[n
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def batches(ds: Dataset, batch_size: int, epoch: int, rng: RngStream) -> list[DataSlice]:
-    return [
-        DataSlice(ds, idx) for idx in epoch_batches(ds.n, batch_size, epoch, rng)
-    ]
-
-
 def analysis_subset(ds: Dataset, rng: RngStream) -> DataSlice:
     """Frozen evaluation subset: first ceil(n/5) indices of a seeded permutation.
 

@@ -26,14 +26,14 @@ import sys
 
 from ..errors import ConfigError, DivergenceError, NumericalFailureError, PrunescopeError
 from .config import ExperimentConfig, load_config
-from .pipeline import run_pipeline
+from .pipeline import STAGES, run_pipeline
 
 _VERB_STAGES = {"gen-data": "data", "train": "dense", "imp": "imp"}
+# `variant random-prune` runs the stage variant_random_prune, and so on
 _VARIANT_STAGES = {
-    "one-shot": "variant_one_shot",
-    "fine-tune": "variant_fine_tune",
-    "random-reinit": "variant_random_reinit",
-    "random-prune": "variant_random_prune",
+    name.removeprefix("variant_").replace("_", "-"): name
+    for name in STAGES
+    if name.startswith("variant_")
 }
 _ANALYSES = ("eigen", "geometry", "interp", "radius", "surface", "taylor")
 

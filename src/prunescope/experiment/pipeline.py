@@ -12,7 +12,10 @@ config skips completed stages by reloading checkpoints from disk, and a
 finished pipeline is byte-for-byte reproducible: every random stream derives
 from the master seed, and no artifact embeds wall-clock state. The dense and
 imp stages train through :func:`prunescope.pruning.imp_levels`, the same IMP
-loop that :func:`prunescope.pruning.imp_run` drives.
+loop that :func:`prunescope.pruning.imp_run` drives. The four ``variant_*``
+stages train rows of :data:`prunescope.pruning.VARIANT_TABLE` through
+:func:`prunescope.pruning.variant_run` (``variant_random_prune`` trains both
+``rpn1`` and ``rpn2``).
 
 Artifact layout:
 
@@ -44,20 +47,18 @@ from ..model import LossContext, NetworkSpec, loss_on, accuracy_on, prunable_coo
 from ..numerics import RngStream
 from ..pruning import (
     RANDOM_MASK_STREAM,
+    VARIANT_TABLE,
     ImpConfig,
     ImpResult,
     LevelArtifacts,
     Strategy,
-    fine_tune_run,
     imp_levels,
     magnitude_mask,
-    one_shot_run,
     project,
     prune_by_magnitude,
     random_mask,
-    random_pruned_run,
-    random_reinit_run,
     sparsity,
+    variant_run,
 )
 from ..trainer import Hyperparams, TrainRecord
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -72,7 +73,7 @@ EIGEN_STREAM = 0xE16E_0001
 RADIUS_STREAM = 0x4AD1_0001
 TAYLOR_STREAM = 0x7A71_0001
 
-VARIANTS = ("one_shot", "fine_tune", "random_reinit", "rpn1", "rpn2")
+VARIANTS = tuple(variant.name for variant in VARIANT_TABLE)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -83,6 +84,11 @@ def _sha256(path: Path) -> str:
 
 def _level_name(level: int) -> str:
     return f"level{level:02d}"
+
+
+def _refs(*names: str) -> str:
+    """The checkpoint references cell naming the given checkpoints."""
+    return ";".join(f"checkpoints/{name}.ckpt" for name in names)
 
 
 class PipelineState:
@@ -171,10 +177,6 @@ class PipelineState:
             ft_epochs=c.ft_epochs,
             per_layer=c.per_layer,
         )
-
-    def level_artifact(self, level: int) -> LevelArtifacts:
-        cp = self.checkpoint(_level_name(level))
-        return LevelArtifacts(level, cp.mask, cp.params, TrainRecord())
 
 
 def _make_checkpoint(
@@ -335,70 +337,25 @@ def stage_imp(state: PipelineState) -> list[str]:
     return artifacts
 
 
-def _variant_target_sparsity(state: PipelineState) -> float:
-    return sparsity(state.checkpoint(_level_name(state.cfg.imp.levels)).mask)
+def _variant_stage(*names: str) -> Callable[[PipelineState], list[str]]:
+    """A stage that trains the named rows of ``VARIANT_TABLE``, in table order."""
 
+    def stage(state: PipelineState) -> list[str]:
+        cfg = state.imp_cfg
+        target = sparsity(state.checkpoint(_level_name(cfg.levels)).mask)
+        w_rewind = state.checkpoint("rewind").params
+        artifacts = []
+        for variant in (v for v in VARIANT_TABLE if v.name in names):
+            level = variant.source_level(cfg.levels)
+            cp = state.checkpoint(_level_name(level))
+            source = LevelArtifacts(level, cp.mask, cp.params, TrainRecord())
+            art = variant_run(
+                state.train_ctx, state.test_ds, cfg, variant, source, w_rewind, target
+            )
+            artifacts += _store_run(state, variant.name, art, f"variant:{variant.name}")
+        return artifacts
 
-def stage_variant_one_shot(state: PipelineState) -> list[str]:
-    art = one_shot_run(
-        state.train_ctx,
-        state.test_ds,
-        state.level_artifact(0),
-        state.checkpoint("rewind").params,
-        _variant_target_sparsity(state),
-        state.hp,
-    )
-    return _store_run(state, "one_shot", art, "variant:one_shot")
-
-
-def stage_variant_fine_tune(state: PipelineState) -> list[str]:
-    cfg = state.imp_cfg
-    art = fine_tune_run(
-        state.train_ctx,
-        state.test_ds,
-        state.level_artifact(cfg.levels - 1),
-        cfg.prune_fraction_per_round,
-        cfg.hp,
-        ft_lr=cfg.ft_lr,
-        ft_epochs=cfg.ft_epochs,
-    )
-    return _store_run(state, "fine_tune", art, "variant:fine_tune")
-
-
-def stage_variant_random_reinit(state: PipelineState) -> list[str]:
-    cfg = state.imp_cfg
-    source = state.level_artifact(cfg.levels - 1)
-    art = random_reinit_run(
-        state.train_ctx, state.test_ds, source, cfg.prune_fraction_per_round, cfg.hp
-    )
-    return _store_run(state, "random_reinit", art, "variant:random_reinit")
-
-
-def stage_variant_random_prune(state: PipelineState) -> list[str]:
-    cfg = state.imp_cfg
-    w_rewind = state.checkpoint("rewind").params
-    mask_stream = RngStream(state.cfg.master_seed, RANDOM_MASK_STREAM)
-    rpn1 = random_pruned_run(
-        state.train_ctx,
-        state.test_ds,
-        state.level_artifact(cfg.levels - 1),
-        cfg.hp,
-        mask_stream.derive(1),
-        w_rewind,
-        fraction=cfg.prune_fraction_per_round,
-    )
-    rpn2 = random_pruned_run(
-        state.train_ctx,
-        state.test_ds,
-        state.level_artifact(0),
-        cfg.hp,
-        mask_stream.derive(2),
-        w_rewind,
-        target_sparsity=_variant_target_sparsity(state),
-    )
-    return _store_run(state, "rpn1", rpn1, "variant:rpn1") + _store_run(
-        state, "rpn2", rpn2, "variant:rpn2"
-    )
+    return stage
 
 
 def _point_names(state: PipelineState) -> list[str]:
@@ -422,7 +379,7 @@ def stage_metrics(state: PipelineState) -> list[str]:
                 loss_on(tctx, cp.params, cp.mask),
                 loss_on(actx, cp.params, cp.mask),
                 cp.test_accuracy,
-                f"checkpoints/{name}.ckpt",
+                _refs(name),
             ]
         )
     artifacts = ["analysis/level_summary.csv"]
@@ -453,7 +410,7 @@ def stage_metrics(state: PipelineState) -> list[str]:
                     before,
                     after,
                     after - before,
-                    f"checkpoints/{_level_name(state.cfg.imp.levels - 1)}.ckpt",
+                    _refs(_level_name(state.cfg.imp.levels - 1)),
                 ]
             )
         write_csv(
@@ -478,7 +435,7 @@ def stage_distances(state: PipelineState) -> list[str]:
                 level,
                 float(np.linalg.norm(pr_prev - pr_rewind)),
                 float(np.linalg.norm(cur.params - pr_rewind)),
-                f"checkpoints/{_level_name(level - 1)}.ckpt;checkpoints/{_level_name(level)}.ckpt",
+                _refs(_level_name(level - 1), _level_name(level)),
             ]
         )
     write_csv(
@@ -490,42 +447,28 @@ def stage_distances(state: PipelineState) -> list[str]:
 
 
 def _eigen_points(state: PipelineState) -> list[tuple[str, np.ndarray, np.ndarray, str]]:
-    """(name, params, mask, source checkpoints) in a fixed deterministic order."""
+    """(name, params, mask, source checkpoints) in a fixed deterministic order:
+    levels, projections, reverse projections, variants."""
     levels = state.cfg.imp.levels
     points = []
     for level in range(levels + 1):
         cp = state.checkpoint(_level_name(level))
-        points.append(
-            (_level_name(level), cp.params, cp.mask, f"checkpoints/{_level_name(level)}.ckpt")
-        )
+        points.append((_level_name(level), cp.params, cp.mask, _refs(_level_name(level))))
+    projected, reverse = [], []
     for level in range(1, levels + 1):
-        prev = state.checkpoint(_level_name(level - 1))
-        cur = state.checkpoint(_level_name(level))
-        src = f"checkpoints/{_level_name(level - 1)}.ckpt;checkpoints/{_level_name(level)}.ckpt"
-        points.append(
-            (
-                f"pr_{_level_name(level - 1)}_on_{level:02d}",
-                project(prev.params, cur.mask),
-                cur.mask,
-                src,
-            )
+        a, b = _level_name(level - 1), _level_name(level)
+        prev, cur = state.checkpoint(a), state.checkpoint(b)
+        projected.append(
+            (f"pr_{a}_on_{level:02d}", project(prev.params, cur.mask), cur.mask, _refs(a, b))
         )
-    for level in range(1, levels + 1):
-        prev = state.checkpoint(_level_name(level - 1))
-        cur = state.checkpoint(_level_name(level))
-        src = f"checkpoints/{_level_name(level)}.ckpt;checkpoints/{_level_name(level - 1)}.ckpt"
-        points.append(
-            (
-                f"rpr_{_level_name(level)}_on_{level - 1:02d}",
-                project(cur.params, prev.mask),
-                prev.mask,
-                src,
-            )
+        reverse.append(
+            (f"rpr_{b}_on_{level - 1:02d}", project(cur.params, prev.mask), prev.mask, _refs(b, a))
         )
+    points += projected + reverse
     if levels > 0:
         for name in VARIANTS:
             cp = state.checkpoint(name)
-            points.append((name, cp.params, cp.mask, f"checkpoints/{name}.ckpt"))
+            points.append((name, cp.params, cp.mask, _refs(name)))
     return points
 
 
@@ -579,8 +522,9 @@ def stage_radius(state: PipelineState) -> list[str]:
     actx = state.analysis_ctx
     n_dir = state.cfg.analysis.n_directions
     base = RngStream(state.cfg.master_seed, RADIUS_STREAM)
-    final = state.checkpoint(_level_name(levels))
-    prev = state.checkpoint(_level_name(levels - 1))
+    final_name, prev_name = _level_name(levels), _level_name(levels - 1)
+    final = state.checkpoint(final_name)
+    prev = state.checkpoint(prev_name)
 
     pr_prev = project(prev.params, final.mask)
     cut_fwd = landscape.basin_cutoff(
@@ -591,14 +535,10 @@ def stage_radius(state: PipelineState) -> list[str]:
         loss_on(actx, prev.params, prev.mask), loss_on(actx, rpr_final, prev.mask)
     )
     profiles = [
-        ("final_min", final.params, final.mask, cut_fwd,
-         f"checkpoints/{_level_name(levels)}.ckpt"),
-        ("final_projected_prev", pr_prev, final.mask, cut_fwd,
-         f"checkpoints/{_level_name(levels - 1)}.ckpt;checkpoints/{_level_name(levels)}.ckpt"),
-        ("prev_min", prev.params, prev.mask, cut_rev,
-         f"checkpoints/{_level_name(levels - 1)}.ckpt"),
-        ("prev_reverse_final", rpr_final, prev.mask, cut_rev,
-         f"checkpoints/{_level_name(levels)}.ckpt;checkpoints/{_level_name(levels - 1)}.ckpt"),
+        ("final_min", final.params, final.mask, cut_fwd, _refs(final_name)),
+        ("final_projected_prev", pr_prev, final.mask, cut_fwd, _refs(prev_name, final_name)),
+        ("prev_min", prev.params, prev.mask, cut_rev, _refs(prev_name)),
+        ("prev_reverse_final", rpr_final, prev.mask, cut_rev, _refs(final_name, prev_name)),
     ]
     artifacts = []
     summary_rows = []
@@ -644,20 +584,13 @@ def stage_radius(state: PipelineState) -> list[str]:
 
 def _interp_pairs(state: PipelineState) -> list[tuple[str, str, str]]:
     levels = state.cfg.imp.levels
-    pairs = [
-        (
-            f"interp_{_level_name(level - 1)}_{_level_name(level)}",
-            _level_name(level - 1),
-            _level_name(level),
-        )
-        for level in range(1, levels + 1)
-    ]
-    return pairs + [
-        ("interp_random_reinit", _level_name(levels - 1), "random_reinit"),
-        ("interp_one_shot", _level_name(0), "one_shot"),
-        ("interp_rpn2", _level_name(0), "rpn2"),
-        ("interp_rpn1", _level_name(levels - 1), "rpn1"),
-    ]
+    names = [_level_name(level) for level in range(levels + 1)]
+    pairs = [(f"interp_{a}_{b}", a, b) for a, b in zip(names, names[1:])]
+    # each variant against the level it was pruned from
+    sources = {v.name: _level_name(v.source_level(levels)) for v in VARIANT_TABLE}
+    for name in ("random_reinit", "one_shot", "rpn2", "rpn1"):
+        pairs.append((f"interp_{name}", sources[name], name))
+    return pairs
 
 
 def stage_interp(state: PipelineState) -> list[str]:
@@ -689,7 +622,7 @@ def stage_interp(state: PipelineState) -> list[str]:
                 barrier.alpha,
                 float(curve.losses[0]),
                 float(curve.losses[-1]),
-                f"checkpoints/{a}.ckpt;checkpoints/{b}.ckpt",
+                _refs(a, b),
             ]
         )
     write_csv(
@@ -706,10 +639,7 @@ def stage_surface(state: PipelineState) -> list[str]:
     a = state.cfg.analysis
     anchor_names = (_level_name(0), _level_name(levels), "random_reinit")
     extra_names = [_level_name(level) for level in range(1, levels)] + [
-        "one_shot",
-        "fine_tune",
-        "rpn1",
-        "rpn2",
+        name for name in VARIANTS if name not in anchor_names
     ]
     anchors = tuple(state.checkpoint(n).params for n in anchor_names)
     extras = [state.checkpoint(n).params for n in extra_names]
@@ -746,7 +676,7 @@ def stage_surface(state: PipelineState) -> list[str]:
         state.out / "analysis/surface_points.csv",
         ["name", "x", "y", "loss", "projection_residual", "checkpoint"],
         [
-            [p.name, p.x, p.y, p.loss, p.projection_residual, f"checkpoints/{p.name}.ckpt"]
+            [p.name, p.x, p.y, p.loss, p.projection_residual, _refs(p.name)]
             for p in grid.points
         ],
     )
@@ -765,9 +695,7 @@ def stage_geometry(state: PipelineState) -> list[str]:
         cp_a = state.checkpoint(a)
         cp_b = state.checkpoint(b)
         euclid, cosine = landscape.geometry(cp_a.params, cp_b.params)
-        rows.append(
-            [a, b, euclid, cosine, f"checkpoints/{a}.ckpt;checkpoints/{b}.ckpt"]
-        )
+        rows.append([a, b, euclid, cosine, _refs(a, b)])
     write_csv(
         state.out / "analysis/geometry.csv",
         ["point_a", "point_b", "euclidean", "cosine", "checkpoints"],
@@ -808,7 +736,7 @@ def stage_taylor(state: PipelineState) -> list[str]:
                     predicted,
                     actual,
                     abs(predicted - actual),
-                    f"checkpoints/{base_name}.ckpt",
+                    _refs(base_name),
                 ]
             )
     write_csv(
@@ -833,24 +761,21 @@ class Stage:
     needs_levels: bool = False  # skipped (no artifacts) when imp.levels == 0
 
 
-# every stage that trains a solution the analyses compare
-_SOLUTIONS = (
-    "imp",
-    "variant_one_shot",
-    "variant_fine_tune",
-    "variant_random_reinit",
-    "variant_random_prune",
+_VARIANT_STAGES = (
+    Stage("variant_one_shot", _variant_stage("one_shot"), ("imp",), needs_levels=True),
+    Stage("variant_fine_tune", _variant_stage("fine_tune"), ("imp",), needs_levels=True),
+    Stage("variant_random_reinit", _variant_stage("random_reinit"), ("imp",), needs_levels=True),
+    Stage("variant_random_prune", _variant_stage("rpn1", "rpn2"), ("imp",), needs_levels=True),
 )
+# every stage that trains a solution the analyses compare
+_SOLUTIONS = ("imp",) + tuple(stage.name for stage in _VARIANT_STAGES)
 
 # in run order; a stage reads only stages above it
 STAGE_TABLE = (
     Stage("data", stage_data),
     Stage("dense", stage_dense, ("data",)),
     Stage("imp", stage_imp, ("dense",), needs_levels=True),
-    Stage("variant_one_shot", stage_variant_one_shot, ("imp",), needs_levels=True),
-    Stage("variant_fine_tune", stage_variant_fine_tune, ("imp",), needs_levels=True),
-    Stage("variant_random_reinit", stage_variant_random_reinit, ("imp",), needs_levels=True),
-    Stage("variant_random_prune", stage_variant_random_prune, ("imp",), needs_levels=True),
+    *_VARIANT_STAGES,
     Stage("metrics", stage_metrics, _SOLUTIONS),
     Stage("distances", stage_distances, ("imp",), needs_levels=True),
     Stage("eigen", stage_eigen, _SOLUTIONS),

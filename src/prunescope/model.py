@@ -37,10 +37,6 @@ class NetworkSpec:
         object.__setattr__(self, "layer_sizes", sizes)
 
     @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-    @property
     def input_size(self) -> int:
         return self.layer_sizes[0]
 
@@ -164,9 +160,6 @@ class LossContext:
     @property
     def dim(self) -> int:
         return self.spec.param_count
-
-    def subset(self, indices: np.ndarray) -> "LossContext":
-        return LossContext(self.spec, self.features[indices], self.labels[indices])
 
     # Protocol used by the landscape module: loss / grad / hvp over (w, mask).
     def loss(self, w: np.ndarray, mask: np.ndarray) -> float:

@@ -53,14 +53,12 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, *indices: int) -> "RngStream":
-        sid = self.stream_id & _MASK64
-        for k in indices:
-            sid = _splitmix64(sid ^ _splitmix64(k & _MASK64))
-        return RngStream(self.seed, sid)
+        return RngStream(self.seed, mix_seed(self.stream_id, *indices))
 
 
 def mix_seed(seed: int, *indices: int) -> int:
-    """Deterministically fold indices into a 64-bit seed (for per-level seeds)."""
+    """Deterministically fold indices into a 64-bit value: per-level seeds,
+    and the stream ids of :meth:`RngStream.derive`."""
     s = seed & _MASK64
     for k in indices:
         s = _splitmix64(s ^ _splitmix64(k & _MASK64))

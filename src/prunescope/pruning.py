@@ -1,12 +1,17 @@
-"""Mask construction, level bookkeeping, and the iterative pruning driver.
+"""Mask construction, level bookkeeping, and the iterative pruning loop.
 
 Masks are boolean vectors aligned to the flat parameter layout; bias
 coordinates are always active. Each round removes the
 floor(fraction * active) smallest-magnitude active weights, ranked globally
 across layers by default (per-layer ranking is an option), ties going to the
-lower flattened index. The driver supports the four retraining strategies
+lower flattened index. A mask rule that prunes nothing raises
+MaskExhaustedError. The IMP loop supports the four retraining strategies
 (weight rewinding, learning-rate rewinding, fine-tuning, random
-re-initialization) plus the one-shot and randomly-pruned comparison runs.
+re-initialization).
+
+The comparison runs are rows of ``VARIANT_TABLE``: each is the IMP retrain
+step with a fixed source level (0 or L-1), mask rule, strategy and seed
+keys, and :func:`variant_run` trains any of them.
 """
 
 from __future__ import annotations
@@ -108,53 +113,90 @@ def prune_by_magnitude(
     return new_mask
 
 
+def _prune_count(
+    current: np.ndarray,
+    prunable: np.ndarray,
+    fraction: float | None,
+    target_sparsity: float | None,
+) -> int:
+    """floor(fraction * active), or the count that lands the mask's overall
+    sparsity (zeros / D) on ``target_sparsity``."""
+    active = int((current & prunable).sum())
+    if (fraction is None) == (target_sparsity is None):
+        raise ValueError("give exactly one of fraction / target_sparsity")
+    if target_sparsity is None:
+        if not 0.0 < fraction < 1.0:
+            raise ValueError("fraction must lie in (0, 1)")
+        return int(fraction * active)
+    count = round(target_sparsity * current.size) - (current.size - int(current.sum()))
+    if not 0 <= count <= active:
+        raise ValueError(
+            f"target sparsity {target_sparsity} unreachable from the source mask"
+        )
+    return count
+
+
+def _prunes_something(
+    mask: np.ndarray, current: np.ndarray, prunable: np.ndarray
+) -> np.ndarray:
+    """The zero-count check every mask rule shares."""
+    if np.array_equal(mask, current):
+        raise MaskExhaustedError(
+            f"the round prunes none of {int((current & prunable).sum())} active weights"
+        )
+    return mask
+
+
 def magnitude_mask(
     w: np.ndarray,
     current: np.ndarray,
-    fraction: float,
+    fraction: float | None,
     prunable: np.ndarray,
     layer_slices: list[slice] | None = None,
+    target_sparsity: float | None = None,
 ) -> np.ndarray:
     """Prune the floor(fraction * active) smallest-|w| active weights.
 
     Selection is global across layers by default; passing ``layer_slices``
-    (the weight slice of each layer) ranks within each layer instead.
+    (the weight slice of each layer) ranks within each layer instead, and
+    the zero-count check applies to the combined mask. Passing
+    ``target_sparsity`` in place of ``fraction`` prunes, globally, in one go
+    to that overall sparsity.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
     w = np.asarray(w, dtype=np.float64)
     current = np.asarray(current, dtype=bool)
     if w.shape != current.shape or w.shape != prunable.shape:
         raise DimensionMismatchError("w, mask, and prunable must share a layout")
     if layer_slices is None:
-        active = int((current & prunable).sum())
-        return prune_by_magnitude(w, current, int(fraction * active), prunable)
-    mask = current.copy()
-    for sl in layer_slices:
-        scoped = np.zeros_like(prunable)
-        scoped[sl] = prunable[sl]
-        active = int((current & scoped).sum())
-        mask &= prune_by_magnitude(w, current, int(fraction * active), scoped)
-    return mask
+        count = _prune_count(current, prunable, fraction, target_sparsity)
+        mask = prune_by_magnitude(w, current, count, prunable)
+    elif target_sparsity is not None:
+        raise ValueError("target_sparsity ranks globally; drop layer_slices")
+    else:
+        mask = current.copy()
+        for sl in layer_slices:
+            scoped = np.zeros_like(prunable)
+            scoped[sl] = prunable[sl]
+            count = _prune_count(current, scoped, fraction, None)
+            mask &= prune_by_magnitude(w, current, count, scoped)
+    return _prunes_something(mask, current, prunable)
 
 
 def random_mask(
-    current: np.ndarray, fraction: float, rng: RngStream, prunable: np.ndarray
+    current: np.ndarray,
+    fraction: float | None,
+    rng: RngStream,
+    prunable: np.ndarray,
+    target_sparsity: float | None = None,
 ) -> np.ndarray:
     """Like :func:`magnitude_mask` but the pruned subset is chosen uniformly."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
     current = np.asarray(current, dtype=bool)
+    count = _prune_count(current, prunable, fraction, target_sparsity)
     active_idx = np.flatnonzero(current & prunable)
-    if active_idx.size < 2:
-        raise MaskExhaustedError(
-            f"only {active_idx.size} active prunable coordinates remain"
-        )
-    count = int(fraction * active_idx.size)
     chosen = rng.generator().choice(active_idx, size=count, replace=False)
     new_mask = current.copy()
     new_mask[chosen] = False
-    return new_mask
+    return _prunes_something(new_mask, current, prunable)
 
 
 def project(w: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
@@ -167,21 +209,26 @@ def project(w: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
     return apply_mask(w, target_mask)
 
 
-def level_hp(hp: Hyperparams, level: int) -> Hyperparams:
-    """Fresh SGD noise per level: re-key the data-order seed by level."""
-    return replace(hp, seed=mix_seed(hp.seed, level))
+def level_hp(hp: Hyperparams, key: int) -> Hyperparams:
+    """Fresh SGD noise per run: re-key the data-order seed."""
+    return replace(hp, seed=mix_seed(hp.seed, key))
 
 
 def retrain_plan(
     cfg: ImpConfig,
-    level: int,
+    seed_key: int,
+    init_key: int,
     mask: np.ndarray,
     prev_solution: np.ndarray,
     w_rewind: np.ndarray,
     ctx: LossContext,
 ) -> tuple[np.ndarray, Hyperparams, int]:
-    """(start vector, hyperparams, schedule offset) for one retraining run."""
-    hp = level_hp(cfg.hp, level)
+    """(start vector, hyperparams, schedule offset) for one retraining run.
+
+    ``seed_key`` re-keys the data order and ``init_key`` the random
+    re-initialization; an IMP level passes its level as both.
+    """
+    hp = level_hp(cfg.hp, seed_key)
     if cfg.strategy is Strategy.WEIGHT_REWIND:
         return project(w_rewind, mask), hp, cfg.hp.rewind_step
     if cfg.strategy is Strategy.LR_REWIND:
@@ -192,7 +239,7 @@ def retrain_plan(
         )
         return project(prev_solution, mask), ft, 0
     # random re-initialization of the surviving coordinates
-    fresh = init_params(ctx.spec, RngStream(cfg.hp.seed, REINIT_STREAM).derive(level))
+    fresh = init_params(ctx.spec, RngStream(cfg.hp.seed, REINIT_STREAM).derive(init_key))
     return apply_mask(fresh, mask), hp, 0
 
 
@@ -210,10 +257,10 @@ def imp_levels(
     Level 0 trains the dense network from a fresh initialization and captures
     the rewind point. Each later level prunes the previous solution's mask by
     one round and retrains according to the configured strategy; a round
-    that prunes nothing raises MaskExhaustedError. ``on_level`` (if given) is
-    called with each finished LevelArtifacts, which is how the pipeline
-    persists checkpoints as they appear. A DivergenceError carries the level
-    it happened at.
+    that prunes nothing raises MaskExhaustedError naming the level.
+    ``on_level`` (if given) is called with each finished LevelArtifacts,
+    which is how the pipeline persists checkpoints as they appear. A
+    DivergenceError carries the level it happened at.
     """
     prunable = prunable_coords(ctx.spec)
     slices = None
@@ -229,17 +276,15 @@ def imp_levels(
             start, hp, offset = result.w_init, level_hp(cfg.hp, 0), 0
         else:
             prev = result.levels[-1]
-            mask = magnitude_mask(
-                prev.solution, prev.mask, cfg.prune_fraction_per_round,
-                prunable, layer_slices=slices,
-            )
-            if np.array_equal(mask, prev.mask):
-                raise MaskExhaustedError(
-                    f"IMP level {level}: a {cfg.prune_fraction_per_round} round of "
-                    f"{int((prev.mask & prunable).sum())} active weights prunes nothing"
+            try:
+                mask = magnitude_mask(
+                    prev.solution, prev.mask, cfg.prune_fraction_per_round,
+                    prunable, layer_slices=slices,
                 )
+            except MaskExhaustedError as exc:
+                raise MaskExhaustedError(f"IMP level {level}: {exc}") from exc
             start, hp, offset = retrain_plan(
-                cfg, level, mask, prev.solution, result.w_rewind, ctx
+                cfg, level, level, mask, prev.solution, result.w_rewind, ctx
             )
         try:
             final, rewind, record = train(
@@ -262,114 +307,68 @@ def imp_run(ctx: LossContext, test: Dataset, cfg: ImpConfig) -> ImpResult:
     return imp_levels(ctx, test, cfg, cfg.levels)
 
 
-def _target_prune_count(
-    current: np.ndarray, prunable: np.ndarray, target_sparsity: float
-) -> int:
-    """How many active prunable coords to drop so the mask's overall sparsity
-    (zeros / D) lands on the target, floor-rule rounding."""
-    total = current.size
-    zeros_target = round(target_sparsity * total)
-    active_now = int((current & prunable).sum())
-    zeros_now = total - int(current.sum())
-    count = zeros_target - zeros_now
-    if count < 0 or count > active_now:
-        raise ValueError(
-            f"target sparsity {target_sparsity} unreachable from the source mask"
-        )
-    return count
+@dataclass(frozen=True)
+class Variant:
+    """One comparison run: the IMP retrain step with fixed choices.
+
+    ``from_dense`` sources level 0, otherwise level L-1. ``rule`` is
+    "magnitude" or "random" (drawn from ``RANDOM_MASK_STREAM`` derived by
+    ``mask_key``); ``to_target`` prunes in one go to level L's sparsity,
+    otherwise by one round. ``seed_key`` and ``init_key`` are the keys
+    :func:`retrain_plan` takes.
+    """
+
+    name: str
+    from_dense: bool
+    rule: str
+    to_target: bool
+    strategy: Strategy
+    seed_key: int
+    init_key: int = 0
+    mask_key: int = 0
+
+    def source_level(self, levels: int) -> int:
+        return 0 if self.from_dense else levels - 1
 
 
-def one_shot_run(
+# name, from_dense, rule, to_target, strategy, seed_key[, init_key, mask_key]
+VARIANT_TABLE = (
+    Variant("one_shot", True, "magnitude", True, Strategy.WEIGHT_REWIND, 1_001),
+    Variant("fine_tune", False, "magnitude", False, Strategy.FINE_TUNE, 1_002),
+    Variant("random_reinit", False, "magnitude", False, Strategy.RANDOM_REINIT, 1_003, 9_001),
+    Variant("rpn1", False, "random", False, Strategy.WEIGHT_REWIND, 1_004, 0, 1),
+    Variant("rpn2", True, "random", True, Strategy.WEIGHT_REWIND, 1_004, 0, 2),
+)
+
+
+def variant_run(
     ctx: LossContext,
     test: Dataset,
-    dense: LevelArtifacts,
+    cfg: ImpConfig,
+    variant: Variant,
+    source: LevelArtifacts,
     w_rewind: np.ndarray,
     target_sparsity: float,
-    hp: Hyperparams,
 ) -> LevelArtifacts:
-    """Magnitude-prune the dense solution to the target sparsity in one go,
-    then retrain with weight rewinding."""
-    prunable = prunable_coords(ctx.spec)
-    count = _target_prune_count(dense.mask, prunable, target_sparsity)
-    mask = prune_by_magnitude(dense.solution, dense.mask, count, prunable)
-    hp = replace(hp, seed=mix_seed(hp.seed, 1_001))
-    final, _, record = train(
-        ctx, test, project(w_rewind, mask), mask, hp, schedule_offset=hp.rewind_step
-    )
-    return LevelArtifacts(dense.level + 1, mask, final, record)
+    """Prune ``source`` by the variant's mask rule and retrain it.
 
-
-def fine_tune_run(
-    ctx: LossContext,
-    test: Dataset,
-    source: LevelArtifacts,
-    fraction: float,
-    hp: Hyperparams,
-    ft_lr: float = 0.001,
-    ft_epochs: int = 40,
-) -> LevelArtifacts:
-    """Prune one round off the source solution, retrain at a small constant lr
-    from the surviving weights (no rewinding)."""
-    prunable = prunable_coords(ctx.spec)
-    mask = magnitude_mask(source.solution, source.mask, fraction, prunable)
-    ft = replace(
-        hp,
-        epochs=ft_epochs,
-        lr0=ft_lr,
-        decay_epochs=(),
-        rewind_step=0,
-        seed=mix_seed(hp.seed, 1_002),
-    )
-    final, _, record = train(ctx, test, project(source.solution, mask), mask, ft)
-    return LevelArtifacts(source.level + 1, mask, final, record)
-
-
-def random_reinit_run(
-    ctx: LossContext,
-    test: Dataset,
-    source: LevelArtifacts,
-    fraction: float,
-    hp: Hyperparams,
-) -> LevelArtifacts:
-    """Prune one round off the source solution, then retrain the surviving
-    coordinates from a fresh random initialization (full schedule)."""
-    prunable = prunable_coords(ctx.spec)
-    mask = magnitude_mask(source.solution, source.mask, fraction, prunable)
-    fresh = init_params(ctx.spec, RngStream(hp.seed, REINIT_STREAM).derive(9_001))
-    hp = replace(hp, seed=mix_seed(hp.seed, 1_003))
-    final, _, record = train(ctx, test, apply_mask(fresh, mask), mask, hp)
-    return LevelArtifacts(source.level + 1, mask, final, record)
-
-
-def random_pruned_run(
-    ctx: LossContext,
-    test: Dataset,
-    source: LevelArtifacts,
-    hp: Hyperparams,
-    rng: RngStream,
-    w_rewind: np.ndarray,
-    fraction: float | None = None,
-    target_sparsity: float | None = None,
-) -> LevelArtifacts:
-    """Randomly prune the source solution, then retrain with weight rewinding.
-
-    Give ``fraction`` for one round off the source mask, or
-    ``target_sparsity`` to prune in one go to a specific overall sparsity
-    (both flavors from the comparison suite).
+    A one-round rule prunes ``cfg.prune_fraction_per_round``; a to-target
+    rule prunes to ``target_sparsity`` (level L's). Ranking is global even
+    when ``cfg.per_layer`` is set. The result's level is the source's + 1.
     """
-    if (fraction is None) == (target_sparsity is None):
-        raise ValueError("give exactly one of fraction / target_sparsity")
     prunable = prunable_coords(ctx.spec)
-    if fraction is not None:
-        mask = random_mask(source.mask, fraction, rng, prunable)
+    fraction = None if variant.to_target else cfg.prune_fraction_per_round
+    target = target_sparsity if variant.to_target else None
+    if variant.rule == "magnitude":
+        mask = magnitude_mask(
+            source.solution, source.mask, fraction, prunable, target_sparsity=target
+        )
     else:
-        count = _target_prune_count(source.mask, prunable, target_sparsity)
-        active_idx = np.flatnonzero(source.mask & prunable)
-        chosen = rng.generator().choice(active_idx, size=count, replace=False)
-        mask = source.mask.copy()
-        mask[chosen] = False
-    hp = replace(hp, seed=mix_seed(hp.seed, 1_004))
-    final, _, record = train(
-        ctx, test, project(w_rewind, mask), mask, hp, schedule_offset=hp.rewind_step
+        rng = RngStream(cfg.hp.seed, RANDOM_MASK_STREAM).derive(variant.mask_key)
+        mask = random_mask(source.mask, fraction, rng, prunable, target_sparsity=target)
+    start, hp, offset = retrain_plan(
+        replace(cfg, strategy=variant.strategy), variant.seed_key, variant.init_key,
+        mask, source.solution, w_rewind, ctx,
     )
+    final, _, record = train(ctx, test, start, mask, hp, schedule_offset=offset)
     return LevelArtifacts(source.level + 1, mask, final, record)

@@ -132,11 +132,6 @@ class TestBatches:
         b = np.concatenate(epoch_batches(50, 16, 1, ps.RngStream(11)))
         assert not np.array_equal(a, b)
 
-    def test_dataset_level_api(self):
-        ds = ps.gen_spirals(10, 2, 0.1, ps.RngStream(0))
-        slices = ps.batches(ds, 8, 0, ps.RngStream(1))
-        assert sum(s.n for s in slices) == ds.n
-
     def test_batch_size_validation(self):
         with pytest.raises(ValueError):
             epoch_batches(5, 6, 0, ps.RngStream(0))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import prunescope as ps
 from prunescope.errors import MaskExhaustedError
-from prunescope.pruning import Strategy, retrain_plan
+from prunescope.pruning import VARIANT_TABLE, Strategy, retrain_plan
 
 
 def floor_rule_counts(start: int, fraction: float, rounds: int) -> list[int]:
@@ -217,7 +217,7 @@ class TestImpRun:
         result = ps.imp_run(ctx, test_ds, cfg)
         mask1 = result.levels[1].mask
         start, _, offset = retrain_plan(
-            cfg, 1, mask1, result.levels[0].solution, result.w_rewind, ctx
+            cfg, 1, 1, mask1, result.levels[0].solution, result.w_rewind, ctx
         )
         np.testing.assert_array_equal(start[mask1], result.w_rewind[mask1])
         assert offset == cfg.hp.rewind_step
@@ -265,54 +265,58 @@ class TestImpRun:
             ps.imp_run(ctx, test_ds, cfg)
 
 
+_VARIANT = {variant.name: variant for variant in VARIANT_TABLE}
+
+
+def _variant(name, ctx, test_ds, cfg, result, source_level=0):
+    """Run one comparison row against an IMP result, targeting its last level."""
+    return ps.variant_run(
+        ctx, test_ds, cfg, _VARIANT[name], result.levels[source_level],
+        result.w_rewind, ps.sparsity(result.levels[-1].mask),
+    )
+
+
 class TestVariantRuns:
+    def test_table_rows(self):
+        assert [v.name for v in VARIANT_TABLE] == [
+            "one_shot", "fine_tune", "random_reinit", "rpn1", "rpn2"
+        ]
+        assert [v.seed_key for v in VARIANT_TABLE] == [1_001, 1_002, 1_003, 1_004, 1_004]
+        assert [v.source_level(10) for v in VARIANT_TABLE] == [0, 9, 9, 9, 0]
+
     def test_one_shot_mask_matches_single_round_at_one_round_target(self):
         spec, ctx, test_ds = _small_problem(6)
         cfg = _small_cfg(levels=1)
         result = ps.imp_run(ctx, test_ds, cfg)
-        target = ps.sparsity(result.levels[1].mask)
-        art = ps.one_shot_run(
-            ctx, test_ds, result.levels[0], result.w_rewind, target, cfg.hp
-        )
+        art = _variant("one_shot", ctx, test_ds, cfg, result)
         np.testing.assert_array_equal(art.mask, result.levels[1].mask)
+        assert art.level == 1
 
     def test_one_shot_sparsity_matches_deeper_target(self):
         spec, ctx, test_ds = _small_problem(7)
         cfg = _small_cfg(levels=3)
         result = ps.imp_run(ctx, test_ds, cfg)
-        target = ps.sparsity(result.levels[3].mask)
-        art = ps.one_shot_run(
-            ctx, test_ds, result.levels[0], result.w_rewind, target, cfg.hp
-        )
+        art = _variant("one_shot", ctx, test_ds, cfg, result)
         assert int(art.mask.sum()) == int(result.levels[3].mask.sum())
 
     def test_random_pruned_fraction_matches_level_counts(self):
         spec, ctx, test_ds = _small_problem(8)
         cfg = _small_cfg(levels=1)
         result = ps.imp_run(ctx, test_ds, cfg)
-        art = ps.random_pruned_run(
-            ctx,
-            test_ds,
-            result.levels[0],
-            cfg.hp,
-            ps.RngStream(0, 77),
-            result.w_rewind,
-            fraction=0.2,
-        )
-        assert int(art.mask.sum()) == int(result.levels[1].mask.sum())
+        for name in ("rpn1", "rpn2"):
+            art = _variant(name, ctx, test_ds, cfg, result)
+            assert int(art.mask.sum()) == int(result.levels[1].mask.sum())
 
     def test_random_pruned_deterministic_mask(self):
         spec, ctx, test_ds = _small_problem(9)
         cfg = _small_cfg(levels=1)
         result = ps.imp_run(ctx, test_ds, cfg)
-        kwargs = dict(fraction=0.2)
-        a = ps.random_pruned_run(
-            ctx, test_ds, result.levels[0], cfg.hp, ps.RngStream(5, 1), result.w_rewind, **kwargs
-        )
-        b = ps.random_pruned_run(
-            ctx, test_ds, result.levels[0], cfg.hp, ps.RngStream(5, 1), result.w_rewind, **kwargs
-        )
+        a = _variant("rpn1", ctx, test_ds, cfg, result)
+        b = _variant("rpn1", ctx, test_ds, cfg, result)
         np.testing.assert_array_equal(a.mask, b.mask)
+        # rpn1 and rpn2 draw from different mask streams
+        c = _variant("rpn2", ctx, test_ds, cfg, result)
+        assert not np.array_equal(a.mask, c.mask)
 
     def test_fine_tune_and_reinit_masks_match_magnitude_round(self):
         spec, ctx, test_ds = _small_problem(10)
@@ -324,10 +328,22 @@ class TestVariantRuns:
             0.2,
             ps.prunable_coords(spec),
         )
-        ft = ps.fine_tune_run(ctx, test_ds, result.levels[0], 0.2, cfg.hp, ft_epochs=1)
-        ri = ps.random_reinit_run(ctx, test_ds, result.levels[0], 0.2, cfg.hp)
+        ft = _variant("fine_tune", ctx, test_ds, cfg, result)
+        ri = _variant("random_reinit", ctx, test_ds, cfg, result)
         np.testing.assert_array_equal(ft.mask, expected)
         np.testing.assert_array_equal(ri.mask, expected)
+
+    @pytest.mark.parametrize("name", ["fine_tune", "random_reinit", "rpn1"])
+    def test_one_round_that_prunes_nothing_raises(self, name):
+        spec = ps.NetworkSpec((2, 2, 3))
+        train_ds = ps.gen_spirals(8, 3, 0.2, ps.RngStream(0, 10))
+        test_ds = ps.gen_spirals(4, 3, 0.2, ps.RngStream(0, 11))
+        ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
+        # floor(0.05 * 10) = 0: one round off the dense mask prunes nothing
+        cfg = replace(_small_cfg(levels=0), prune_fraction_per_round=0.05)
+        result = ps.imp_run(ctx, test_ds, cfg)
+        with pytest.raises(MaskExhaustedError, match="prunes none of 10"):
+            _variant(name, ctx, test_ds, cfg, result)
 
 
 class TestPerLayerPruning:
@@ -347,3 +363,21 @@ class TestPerLayerPruning:
         assert int(per_layer[slices[0]].sum()) == 4
         assert int(per_layer[slices[1]].sum()) == 4
         assert int(globally[slices[1]].sum()) == 8  # global spares the big layer
+
+    def test_zero_count_checks_the_combined_mask(self):
+        from prunescope.model import layer_slices
+
+        spec = ps.NetworkSpec((2, 4, 2))
+        prunable = ps.prunable_coords(spec)
+        w = ps.init_params(spec, ps.RngStream(2))
+        slices = [w_sl for w_sl, _, _ in layer_slices(spec)]
+        current = ps.dense_mask(spec)
+        current[slices[1]] = [True] * 4 + [False] * 4
+        # floor(0.2 * 8) = 1 in layer one, floor(0.2 * 4) = 0 in layer two
+        m = ps.magnitude_mask(w, current, 0.2, prunable, layer_slices=slices)
+        assert int((current & ~m).sum()) == 1
+        # floor(0.1 * 8) = floor(0.1 * 4) = 0: the combined round prunes nothing
+        with pytest.raises(MaskExhaustedError, match="prunes none of 12"):
+            ps.magnitude_mask(w, current, 0.1, prunable, layer_slices=slices)
+        with pytest.raises(ValueError, match="ranks globally"):
+            ps.magnitude_mask(w, current, None, prunable, slices, target_sparsity=0.5)
