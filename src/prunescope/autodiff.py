@@ -14,16 +14,28 @@ Two conventions worth knowing:
   restriction to the active subspace, exactly zero elsewhere;
 * ReLU's second derivative is taken to be zero everywhere (subgradient
   convention), so HVPs are exact away from kinks.
+
+Training calls :func:`grad` once per SGD step, so the passes run as bare
+numpy. Layers are views of the masked vector through the spec's cached
+layout (:func:`~prunescope.model.split_params`); ``grad`` and ``hvp`` write
+each layer's result into its view of one flat output vector and mask that
+vector in place. Each in-place operation computes the same expression, with
+the same operands in the same order, as the plain form (``a @ W.T + b``,
+``(dz @ W) * gate``, ...), and each matmul keeps its operand layout (a
+copied, contiguous ``W.T`` rounds differently). Floating-point results
+depend on both, so this keeps every gradient, and with it every trained
+weight and artifact, bit for bit what the plain expressions give.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailureError
-from .model import LossContext, apply_mask, join_params, split_params
+from .model import LossContext, apply_mask, split_params
 
 
 @dataclass(frozen=True)
@@ -33,7 +45,10 @@ class GradResult:
 
 
 def _check_finite(x: np.ndarray, node: str) -> None:
-    if not np.all(np.isfinite(x)):
+    # A finite sum proves every entry finite. A sum of finite entries can
+    # still overflow (numpy then warns), so the exact test decides whenever
+    # the sum is not finite: this raises exactly when an entry is not.
+    if not math.isfinite(x.sum()) and not np.isfinite(x).all():
         raise NumericalFailureError(f"non-finite value produced by node {node}")
 
 
@@ -48,7 +63,8 @@ def _forward(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
     a = ctx.features
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        z = a @ W.T + b
+        z = a @ W.T
+        z += b
         _check_finite(z, f"affine[{i}]")
         inputs.append(a)
         pre.append(z)
@@ -57,32 +73,40 @@ def _forward(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
     return layers, inputs, pre
 
 
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def _softmax_ce(ctx: LossContext, logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and the per-row log-sum-exp of the logits.
 
     Callers that need the softmax probabilities form ``exp(logits - lse)``.
     """
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax
-    n = logits.shape[0]
-    per_sample = lse[:, 0] - logits[np.arange(n), labels]
-    loss = float(per_sample.mean())
-    _check_finite(np.asarray(loss), "softmax_ce")
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted = logits - zmax
+    np.exp(shifted, out=shifted)
+    lse = np.add.reduce(shifted, axis=1, keepdims=True)
+    np.log(lse, out=lse)
+    lse += zmax
+    per_sample = lse[:, 0] - logits.ravel()[ctx.label_index]
+    loss = float(per_sample.sum() / ctx.n)  # what per_sample.mean() computes
+    if not math.isfinite(loss):
+        raise NumericalFailureError("non-finite value produced by node softmax_ce")
     return loss, lse
 
 
-def _ce_adjoint(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean cross-entropy)/d(logits) = (probs - onehot) / n."""
-    n = labels.shape[0]
-    dz = probs.copy()
-    dz[np.arange(n), labels] -= 1.0
-    dz /= n
-    return dz
+def _probs(logits: np.ndarray, lse: np.ndarray) -> np.ndarray:
+    probs = logits - lse
+    return np.exp(probs, out=probs)
+
+
+def _to_ce_adjoint(ctx: LossContext, probs: np.ndarray) -> np.ndarray:
+    """Turn softmax probabilities, in place, into d(mean cross-entropy)/d(logits)
+    = (probs - onehot) / n."""
+    probs.ravel()[ctx.label_index] -= 1.0
+    probs /= ctx.n
+    return probs
 
 
 def forward_loss(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> float:
     _, _, pre = _forward(ctx, w, mask)
-    return _softmax_ce(pre[-1], ctx.labels)[0]
+    return _softmax_ce(ctx, pre[-1])[0]
 
 
 def forward_logits(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -92,16 +116,21 @@ def forward_logits(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> np.ndar
 
 def grad(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> GradResult:
     """Loss and exact gradient at ``mask * w``, zeroed on masked coordinates."""
+    mask = np.asarray(mask, dtype=bool)
     layers, inputs, pre = _forward(ctx, w, mask)
-    loss, lse = _softmax_ce(pre[-1], ctx.labels)
-    dz = _ce_adjoint(np.exp(pre[-1] - lse), ctx.labels)
-    grads: list = [None] * len(layers)
+    loss, lse = _softmax_ce(ctx, pre[-1])
+    dz = _to_ce_adjoint(ctx, _probs(pre[-1], lse))
+    flat = np.empty(mask.shape)
+    out = split_params(ctx.spec, flat)
     for i in range(len(layers) - 1, -1, -1):
-        grads[i] = (dz.T @ inputs[i], dz.sum(axis=0))
+        gW, gb = out[i]
+        np.matmul(dz.T, inputs[i], out=gW)
+        np.add.reduce(dz, axis=0, out=gb)
         if i > 0:
-            dz = (dz @ layers[i][0]) * (pre[i - 1] > 0.0)
-    flat = join_params(ctx.spec, grads)
-    return GradResult(loss, apply_mask(flat, mask))
+            dz = dz @ layers[i][0]
+            dz *= pre[i - 1] > 0.0
+    flat *= mask
+    return GradResult(loss, flat)
 
 
 def hvp(ctx: LossContext, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -111,12 +140,12 @@ def hvp(ctx: LossContext, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.
     through the forward pass, then through the backward pass (the R-operator),
     so the result is exact to machine precision for the piecewise-smooth loss.
     """
+    mask = np.asarray(mask, dtype=bool)
     v = apply_mask(np.asarray(v, dtype=np.float64), mask)
     layers, inputs, pre = _forward(ctx, w, mask)
-    _, lse = _softmax_ce(pre[-1], ctx.labels)
-    probs = np.exp(pre[-1] - lse)
+    _, lse = _softmax_ce(ctx, pre[-1])
+    probs = _probs(pre[-1], lse)
     v_layers = split_params(ctx.spec, v)
-    n = ctx.labels.shape[0]
     last = len(layers) - 1
 
     # tangent forward: R{input} of every layer, ending at R{logits}
@@ -124,20 +153,33 @@ def hvp(ctx: LossContext, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.
     ra = np.zeros_like(ctx.features)
     for i, ((W, _), (V, c)) in enumerate(zip(layers, v_layers)):
         r_inputs.append(ra)
-        rz = ra @ W.T + inputs[i] @ V.T + c
+        rz = ra @ W.T
+        rz += inputs[i] @ V.T
+        rz += c
         if i < last:
             ra = rz * (pre[i] > 0.0)
 
     # combined reverse sweep: plain adjoints dz and their tangents R{dz}
-    dz = _ce_adjoint(probs, ctx.labels)
-    # R{softmax}: p * (rz - sum(p * rz))
-    rdz = probs * (rz - (probs * rz).sum(axis=1, keepdims=True)) / n
-    hgrads: list = [None] * len(layers)
+    # R{softmax}: p * (rz - sum(p * rz)), over n
+    row_dot = np.add.reduce(probs * rz, axis=1, keepdims=True)
+    rz -= row_dot
+    rdz = np.multiply(probs, rz, out=rz)
+    rdz /= ctx.n
+    dz = _to_ce_adjoint(ctx, probs)
+    flat = np.empty(mask.shape)
+    out = split_params(ctx.spec, flat)
     for i in range(last, -1, -1):
-        hgrads[i] = (rdz.T @ inputs[i] + dz.T @ r_inputs[i], rdz.sum(axis=0))
+        hW, hb = out[i]
+        np.matmul(rdz.T, inputs[i], out=hW)
+        hW += dz.T @ r_inputs[i]
+        np.add.reduce(rdz, axis=0, out=hb)
         if i > 0:
             gate = pre[i - 1] > 0.0
             W, V = layers[i][0], v_layers[i][0]
-            dz, rdz = (dz @ W) * gate, (rdz @ W + dz @ V) * gate
-    flat = join_params(ctx.spec, hgrads)
-    return apply_mask(flat, mask)
+            rdz = rdz @ W
+            rdz += dz @ V
+            rdz *= gate
+            dz = dz @ W
+            dz *= gate
+    flat *= mask
+    return flat

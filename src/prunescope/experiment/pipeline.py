@@ -57,6 +57,7 @@ from ..pruning import (
     project,
     prune_by_magnitude,
     random_mask,
+    ranking_slices,
     sparsity,
     variant_run,
 )
@@ -393,7 +394,10 @@ def stage_metrics(state: PipelineState) -> list[str]:
         prev = state.checkpoint(_level_name(state.cfg.imp.levels - 1))
         prunable = prunable_coords(state.spec)
         frac = state.cfg.imp.prune_fraction_per_round
-        magnitude = magnitude_mask(prev.params, prev.mask, frac, prunable)
+        magnitude = magnitude_mask(
+            prev.params, prev.mask, frac, prunable,
+            ranking_slices(state.spec, state.cfg.imp.per_layer),
+        )
         rand = random_mask(
             prev.mask,
             frac,

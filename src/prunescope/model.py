@@ -8,6 +8,7 @@ vector. Only affine-layer weights are prunable; biases never are.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class NetworkSpec:
     def output_size(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
+    @functools.cached_property
     def param_count(self) -> int:
         return sum(
             n_in * n_out + n_out
@@ -52,8 +53,12 @@ class NetworkSpec:
         )
 
 
-def layer_slices(spec: NetworkSpec) -> list[tuple[slice, slice, tuple[int, int]]]:
-    """(weight slice, bias slice, weight shape) per layer in the flat layout."""
+@functools.lru_cache(maxsize=64)
+def layer_slices(spec: NetworkSpec) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
+    """(weight slice, bias slice, weight shape) per layer in the flat layout.
+
+    Cached per spec: every gradient step reads it.
+    """
     out = []
     pos = 0
     for n_in, n_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
@@ -62,7 +67,7 @@ def layer_slices(spec: NetworkSpec) -> list[tuple[slice, slice, tuple[int, int]]
         b_sl = slice(pos, pos + n_out)
         pos += n_out
         out.append((w_sl, b_sl, (n_out, n_in)))
-    return out
+    return tuple(out)
 
 
 def split_params(spec: NetworkSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -153,9 +158,25 @@ class LossContext:
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
 
+    def rows(self, idx: np.ndarray) -> "LossContext":
+        """The context on the sample rows ``idx`` (a nonempty index array).
+
+        Rows of a validated context are valid, so this skips validation.
+        """
+        sub = object.__new__(LossContext)
+        object.__setattr__(sub, "spec", self.spec)
+        object.__setattr__(sub, "features", self.features[idx])
+        object.__setattr__(sub, "labels", self.labels[idx])
+        return sub
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
+
+    @functools.cached_property
+    def label_index(self) -> np.ndarray:
+        """Flat position of each sample's label in a C-ordered (n, classes) array."""
+        return np.arange(self.n) * self.spec.output_size + self.labels
 
     @property
     def dim(self) -> int:

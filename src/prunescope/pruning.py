@@ -25,6 +25,7 @@ from .data import Dataset
 from .errors import DimensionMismatchError, DivergenceError, MaskExhaustedError
 from .model import (
     LossContext,
+    NetworkSpec,
     apply_mask,
     dense_mask,
     init_params,
@@ -182,6 +183,13 @@ def magnitude_mask(
     return _prunes_something(mask, current, prunable)
 
 
+def ranking_slices(spec: NetworkSpec, per_layer: bool) -> list[slice] | None:
+    """The ``layer_slices`` argument of :func:`magnitude_mask` for a
+    ``per_layer`` setting: each layer's weight slice, or None to rank
+    globally."""
+    return [w_sl for w_sl, _, _ in layer_slices(spec)] if per_layer else None
+
+
 def random_mask(
     current: np.ndarray,
     fraction: float | None,
@@ -263,9 +271,7 @@ def imp_levels(
     DivergenceError carries the level it happened at.
     """
     prunable = prunable_coords(ctx.spec)
-    slices = None
-    if cfg.per_layer:
-        slices = [w_sl for w_sl, _, _ in layer_slices(ctx.spec)]
+    slices = ranking_slices(ctx.spec, cfg.per_layer)
     if done is None:
         done = ImpResult([], init_params(ctx.spec, RngStream(cfg.hp.seed, INIT_STREAM)), None)
     result = ImpResult(list(done.levels), done.w_init, done.w_rewind)
@@ -352,16 +358,19 @@ def variant_run(
 ) -> LevelArtifacts:
     """Prune ``source`` by the variant's mask rule and retrain it.
 
-    A one-round rule prunes ``cfg.prune_fraction_per_round``; a to-target
-    rule prunes to ``target_sparsity`` (level L's). Ranking is global even
-    when ``cfg.per_layer`` is set. The result's level is the source's + 1.
+    A one-round rule prunes ``cfg.prune_fraction_per_round`` and ranks like
+    an IMP round, within layers when ``cfg.per_layer`` is set, so the
+    one-round magnitude mask is IMP level L's. A to-target rule prunes to
+    ``target_sparsity`` (level L's) and always ranks globally. The result's
+    level is the source's + 1.
     """
     prunable = prunable_coords(ctx.spec)
     fraction = None if variant.to_target else cfg.prune_fraction_per_round
     target = target_sparsity if variant.to_target else None
+    slices = None if variant.to_target else ranking_slices(ctx.spec, cfg.per_layer)
     if variant.rule == "magnitude":
         mask = magnitude_mask(
-            source.solution, source.mask, fraction, prunable, target_sparsity=target
+            source.solution, source.mask, fraction, prunable, slices, target_sparsity=target
         )
     else:
         rng = RngStream(cfg.hp.seed, RANDOM_MASK_STREAM).derive(variant.mask_key)

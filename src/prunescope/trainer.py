@@ -4,6 +4,14 @@ A train call owns its optimizer state and is fully deterministic given the
 hyperparameters: data order comes from (seed, epoch)-keyed permutations and
 every update keeps pruned coordinates exactly zero. The returned record also
 carries the rewind-point snapshot that iterative pruning restarts from.
+
+Each step takes its batch through :meth:`LossContext.rows`, which skips
+re-validating rows of the already validated context, and updates the
+velocity and the weights in place, in two preallocated buffers.
+The in-place form keeps the plain update's operations and their order,
+``g + wd*w``, then ``mom*v + update``, then ``w - lr*v``, then ``w *= mask``,
+because floating-point results depend on that order: reordering would change
+the trained weights, and with them every checkpoint and analysis artifact.
 """
 
 from __future__ import annotations
@@ -96,6 +104,7 @@ def train(
     steps_per_epoch = math.ceil(ctx.n / hp.batch_size)
     w = apply_mask(start, mask)
     velocity = np.zeros_like(w)
+    update = np.empty_like(w)
     test_ctx = LossContext(ctx.spec, test.features, test.labels)
     shuffle = RngStream(hp.seed, SHUFFLE_STREAM)
     record = TrainRecord(epoch_params=[] if record_snapshots else None)
@@ -105,17 +114,19 @@ def train(
     for epoch in range(hp.epochs):
         loss_sum = 0.0
         for batch_idx in epoch_batches(ctx.n, hp.batch_size, epoch, shuffle):
-            batch_ctx = LossContext(
-                ctx.spec, ctx.features[batch_idx], ctx.labels[batch_idx]
-            )
-            result = grad(batch_ctx, w, mask)
+            result = grad(ctx.rows(batch_idx), w, mask)
             if not math.isfinite(result.loss) or result.loss > DIVERGENCE_CAP:
                 raise DivergenceError(
                     f"training diverged at step {step} (loss={result.loss})", step
                 )
-            update = result.gradient + hp.weight_decay * w
-            velocity = hp.momentum * velocity + update
-            w = w - lr_at(hp, schedule_offset + step, steps_per_epoch) * velocity
+            # update = g + wd*w; velocity = mom*velocity + update;
+            # w = w - lr*velocity, evaluated in place
+            np.multiply(w, hp.weight_decay, out=update)
+            update += result.gradient
+            velocity *= hp.momentum
+            velocity += update
+            np.multiply(velocity, lr_at(hp, schedule_offset + step, steps_per_epoch), out=update)
+            w -= update
             w *= mask  # pruned coordinates stay exactly zero
             step += 1
             loss_sum += result.loss * batch_idx.size

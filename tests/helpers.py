@@ -14,6 +14,13 @@ import numpy as np
 
 import prunescope as ps
 from prunescope.autodiff import GradResult
+from prunescope.experiment import ExperimentConfig
+from prunescope.experiment.config import (
+    AnalysisSettings,
+    ImpSettings,
+    SpiralsSource,
+    TrainingSettings,
+)
 
 
 @dataclass(frozen=True)
@@ -136,3 +143,17 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = max(float(np.max(np.abs(b))), floor)
     return float(np.max(np.abs(a - b))) / scale
+
+
+def criterion2_config() -> ExperimentConfig:
+    """The small pipeline config of acceptance criterion 2 (63 hashed artifacts)."""
+    return ExperimentConfig(
+        dataset=SpiralsSource(train_per_class=40, test_per_class=20, classes=3, noise_std=0.15),
+        network=(2, 16, 3),
+        training=TrainingSettings(epochs=6, batch_size=16, decay_epochs=(4,), rewind_step=10),
+        imp=ImpSettings(levels=2, ft_epochs=3),
+        analysis=AnalysisSettings(
+            k=5, n_directions=24, interp_points=51, grid_rows=8, grid_cols=9, taylor_probes=20
+        ),
+        master_seed=7,
+    )

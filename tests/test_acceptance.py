@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 from helpers import (
+    criterion2_config,
     diag_quadratic,
     fd_gradient,
     fd_hessian,
@@ -18,12 +19,6 @@ from helpers import (
 
 import prunescope as ps
 from prunescope.experiment import ExperimentConfig, run_pipeline
-from prunescope.experiment.config import (
-    AnalysisSettings,
-    ImpSettings,
-    SpiralsSource,
-    TrainingSettings,
-)
 from prunescope.experiment.tables import read_csv_dicts
 
 N_SEEDS = 3
@@ -156,16 +151,7 @@ def _summaries(runs, name):
 
 class TestCriterion2Determinism:
     def test_2_pipeline_determinism_and_runtime(self, default_runs, tmp_path):
-        cfg = ExperimentConfig(
-            dataset=SpiralsSource(train_per_class=40, test_per_class=20, classes=3, noise_std=0.15),
-            network=(2, 16, 3),
-            training=TrainingSettings(epochs=6, batch_size=16, decay_epochs=(4,), rewind_step=10),
-            imp=ImpSettings(levels=2, ft_epochs=3),
-            analysis=AnalysisSettings(
-                k=5, n_directions=24, interp_points=51, grid_rows=8, grid_cols=9, taylor_probes=20
-            ),
-            master_seed=7,
-        )
+        cfg = criterion2_config()
         m1 = run_pipeline(cfg, tmp_path / "run1")
         m2 = run_pipeline(cfg, tmp_path / "run2")
         identical = m1["hashes"] == m2["hashes"]

@@ -5,7 +5,7 @@ from helpers import diag_quadratic, fd_gradient, fd_hvp, max_rel_err, random_net
 import prunescope as ps
 from prunescope.autodiff import forward_logits
 from prunescope.errors import NumericalFailureError
-from prunescope.model import split_params
+from prunescope.model import join_params, split_params
 
 
 class TestTrivialDerivatives:
@@ -94,6 +94,121 @@ class TestGradOracle:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalFailureError, match="affine"):
                 ps.grad(ctx, w, ps.dense_mask(spec))
+
+
+    def test_hidden_overflow_zeroed_by_relu_still_raises(self):
+        # hidden unit 0 overflows to -inf; ReLU zeroes it, so the loss along
+        # the plain chain stays finite, yet the pass names the layer
+        spec = ps.NetworkSpec((2, 2, 2))
+        ctx = ps.LossContext(spec, np.array([[1.0, 1.0]]), np.array([0]))
+        W1 = np.array([[-1e308, -1e308], [0.5, 0.5]])
+        W2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+        w = join_params(spec, [(W1, np.zeros(2)), (W2, np.zeros(2))])
+        mask = ps.dense_mask(spec)
+        with np.errstate(over="ignore"):
+            hidden = ctx.features @ W1.T
+            logits = np.maximum(hidden, 0.0) @ W2.T
+            assert hidden[0, 0] == -np.inf and np.isfinite(logits).all()
+            for evaluate in (
+                lambda: ps.grad(ctx, w, mask),
+                lambda: ps.loss_on(ctx, w, mask),
+                lambda: ps.hvp(ctx, w, mask, np.ones(spec.param_count)),
+            ):
+                with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
+                    evaluate()
+
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        # both hidden pre-activations are 0.9e308: finite, though their sum
+        # is not, so the check must fall through to the exact test
+        spec = ps.NetworkSpec((2, 2, 2))
+        ctx = ps.LossContext(spec, np.array([[1.0, 1.0]]), np.array([1]))
+        W1 = np.full((2, 2), 0.45e308)
+        W2 = np.array([[1e-300, 0.0], [0.0, 0.0]])
+        w = join_params(spec, [(W1, np.zeros(2)), (W2, np.zeros(2))])
+        with np.errstate(over="ignore"):  # the sum's overflow is expected
+            result = ps.grad(ctx, w, ps.dense_mask(spec))
+        assert np.isfinite(result.loss) and np.isfinite(result.gradient).all()
+
+
+def _reference_pass(ctx, w, mask):
+    """The forward pass and head as plain expressions over split_params."""
+    layers = split_params(ctx.spec, ps.apply_mask(w, mask))
+    inputs, pre = [], []
+    a = ctx.features
+    for i, (W, b) in enumerate(layers):
+        z = a @ W.T + b
+        inputs.append(a)
+        pre.append(z)
+        if i < len(layers) - 1:
+            a = np.maximum(z, 0.0)
+    logits = pre[-1]
+    n = logits.shape[0]
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax
+    loss = float((lse[:, 0] - logits[np.arange(n), ctx.labels]).mean())
+    probs = np.exp(logits - lse)
+    dz = probs.copy()
+    dz[np.arange(n), ctx.labels] -= 1.0
+    dz /= n
+    return layers, inputs, pre, loss, probs, dz
+
+
+def reference_grad(ctx, w, mask):
+    layers, inputs, pre, loss, _, dz = _reference_pass(ctx, w, mask)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (dz.T @ inputs[i], dz.sum(axis=0))
+        if i > 0:
+            dz = (dz @ layers[i][0]) * (pre[i - 1] > 0.0)
+    return loss, ps.apply_mask(join_params(ctx.spec, grads), mask)
+
+
+def reference_hvp(ctx, w, mask, v):
+    v = ps.apply_mask(v, mask)
+    layers, inputs, pre, _, probs, dz = _reference_pass(ctx, w, mask)
+    v_layers = split_params(ctx.spec, v)
+    n, last = ctx.n, len(layers) - 1
+    r_inputs = []
+    ra = np.zeros_like(ctx.features)
+    for i, ((W, _), (V, c)) in enumerate(zip(layers, v_layers)):
+        r_inputs.append(ra)
+        rz = ra @ W.T + inputs[i] @ V.T + c
+        if i < last:
+            ra = rz * (pre[i] > 0.0)
+    rdz = probs * (rz - (probs * rz).sum(axis=1, keepdims=True)) / n
+    out = [None] * len(layers)
+    for i in range(last, -1, -1):
+        out[i] = (rdz.T @ inputs[i] + dz.T @ r_inputs[i], rdz.sum(axis=0))
+        if i > 0:
+            gate = pre[i - 1] > 0.0
+            W, V = layers[i][0], v_layers[i][0]
+            dz, rdz = (dz @ W) * gate, (rdz @ W + dz @ V) * gate
+    return ps.apply_mask(join_params(ctx.spec, out), mask)
+
+
+class TestBitIdentity:
+    """grad and hvp equal, byte for byte, the plain split/join expressions."""
+
+    @pytest.mark.parametrize(
+        "sizes", [(2, 24, 24, 3), (2, 128, 128, 3), (2, 4, 4, 2), (2, 16, 3)]
+    )
+    def test_grad_and_hvp_match_reference(self, sizes):
+        spec = ps.NetworkSpec(sizes)
+        ds = ps.gen_spirals(100, sizes[-1], 0.15, ps.RngStream(3, 1))
+        prunable = ps.prunable_coords(spec)
+        gen = np.random.default_rng(sum(sizes))
+        for n in (32, 300):
+            ctx = ps.LossContext(spec, ds.features[:n], ds.labels[:n])
+            for _ in range(4):
+                w = gen.normal(size=spec.param_count) * gen.uniform(0.2, 2.0)
+                mask = (gen.random(spec.param_count) < 0.6) | ~prunable
+                v = gen.normal(size=spec.param_count)
+                loss, g = reference_grad(ctx, w, mask)
+                result = ps.grad(ctx, w, mask)
+                assert result.loss == loss
+                assert result.gradient.tobytes() == g.tobytes()
+                hv = ps.hvp(ctx, w, mask, v)
+                assert hv.tobytes() == reference_hvp(ctx, w, mask, v).tobytes()
 
 
 class TestHvpOracle:

@@ -169,3 +169,19 @@ class TestLossContextValidation:
         spec = ps.NetworkSpec((2, 2))
         with pytest.raises(ValueError):
             _ctx(spec, [[1.0, 2.0]], [5])
+
+    def test_rows_equal_a_validated_context_on_those_rows(self):
+        spec = ps.NetworkSpec((2, 4, 3))
+        ds = ps.gen_spirals(5, 3, 0.2, ps.RngStream(1))
+        ctx = ps.LossContext(spec, ds.features, ds.labels)
+        idx = np.array([7, 0, 13, 2])
+        rows = ctx.rows(idx)
+        full = ps.LossContext(spec, ds.features[idx], ds.labels[idx])
+        assert rows.spec == spec and rows.n == 4
+        np.testing.assert_array_equal(rows.features, full.features)
+        np.testing.assert_array_equal(rows.labels, full.labels)
+        np.testing.assert_array_equal(rows.label_index, full.label_index)
+        w = ps.init_params(spec, ps.RngStream(2))
+        assert ps.loss_on(rows, w, ps.dense_mask(spec)) == ps.loss_on(
+            full, w, ps.dense_mask(spec)
+        )

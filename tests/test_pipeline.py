@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import prunescope as ps
 from prunescope.errors import ArtifactMissingError, ConfigError, DivergenceError
 from prunescope.experiment import ExperimentConfig, emit_plots, load_manifest, run_pipeline
 from prunescope.experiment import cli
@@ -15,7 +17,7 @@ from prunescope.experiment.config import (
     TrainingSettings,
     config_to_dict,
 )
-from prunescope.experiment.pipeline import STAGE_TABLE, STAGES
+from prunescope.experiment.pipeline import STAGE_TABLE, STAGES, PipelineState
 from prunescope.experiment.tables import read_csv_dicts
 
 
@@ -171,6 +173,25 @@ class TestStageTable:
         with pytest.raises(DivergenceError) as info:
             run_pipeline(cfg, tmp_path / "dv")
         assert info.value.level == 0
+
+
+class TestPerLayerRanking:
+    def test_metrics_and_one_round_variants_rank_per_layer(self, tmp_path):
+        base = small_config()
+        cfg = replace(base, imp=replace(base.imp, per_layer=True))
+        out = tmp_path / "per_layer"
+        run_pipeline(cfg, out, stages=["metrics"])
+        state = PipelineState(cfg, out)
+        prev, last = state.checkpoint("level01"), state.checkpoint("level02")
+        for name in ("fine_tune", "random_reinit"):
+            np.testing.assert_array_equal(state.checkpoint(name).mask, last.mask)
+        # the magnitude prune-impact row prunes level 1 by IMP's round
+        expected = ps.loss_on(
+            state.analysis_ctx, ps.project(prev.params, last.mask), last.mask
+        )
+        rows = read_csv_dicts(out / "analysis/prune_impact.csv")
+        magnitude = next(r for r in rows if r["strategy"] == "magnitude")
+        assert float(magnitude["loss_after"]) == expected
 
 
 class TestDegenerateConfig:

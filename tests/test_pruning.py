@@ -364,6 +364,29 @@ class TestPerLayerPruning:
         assert int(per_layer[slices[1]].sum()) == 4
         assert int(globally[slices[1]].sum()) == 8  # global spares the big layer
 
+    def test_comparison_masks_follow_per_layer_ranking(self):
+        from prunescope.model import layer_slices
+
+        spec = ps.NetworkSpec((2, 16, 16, 3))
+        train_ds = ps.gen_spirals(16, 3, 0.2, ps.RngStream(3, 10))
+        test_ds = ps.gen_spirals(8, 3, 0.2, ps.RngStream(3, 11))
+        ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
+        cfg = replace(_small_cfg(levels=2), per_layer=True)
+        result = ps.imp_run(ctx, test_ds, cfg)
+        level2 = result.levels[2].mask
+        kept = [int(level2[w_sl].sum()) for w_sl, _, _ in layer_slices(spec)]
+        assert kept == [21, 164, 32]  # 32, 256, 48 weights, two 20% rounds each
+        for name in ("fine_tune", "random_reinit"):
+            art = _variant(name, ctx, test_ds, cfg, result, source_level=1)
+            np.testing.assert_array_equal(art.mask, level2)
+        # the to-target rows still rank globally, to level 2's overall count
+        one_shot = _variant("one_shot", ctx, test_ds, cfg, result)
+        globally = ps.magnitude_mask(
+            result.levels[0].solution, result.levels[0].mask, None,
+            ps.prunable_coords(spec), target_sparsity=ps.sparsity(level2),
+        )
+        np.testing.assert_array_equal(one_shot.mask, globally)
+
     def test_zero_count_checks_the_combined_mask(self):
         from prunescope.model import layer_slices
 

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import prunescope as ps
 from prunescope import Hyperparams, lr_at, train
+from prunescope.data import epoch_batches
+from prunescope.trainer import SHUFFLE_STREAM
 
 
 def _hp(**overrides):
@@ -163,3 +167,60 @@ class TestTrain:
         with pytest.raises(ps.errors.DivergenceError) as excinfo:
             train(ctx, test_ds, w_bad, ps.dense_mask(spec), hp)
         assert excinfo.value.step >= 0
+
+
+def reference_train(ctx, test, start, mask, hp, schedule_offset):
+    """The training loop with a fresh context per batch and the update as
+    plain, allocating expressions."""
+    spe = math.ceil(ctx.n / hp.batch_size)
+    w = ps.apply_mask(start, mask)
+    velocity = np.zeros_like(w)
+    test_ctx = ps.LossContext(ctx.spec, test.features, test.labels)
+    shuffle = ps.RngStream(hp.seed, SHUFFLE_STREAM)
+    rewind, snapshots, losses, accs = None, [], [], []
+    step = 0
+    for epoch in range(hp.epochs):
+        loss_sum = 0.0
+        for idx in epoch_batches(ctx.n, hp.batch_size, epoch, shuffle):
+            batch = ps.LossContext(ctx.spec, ctx.features[idx], ctx.labels[idx])
+            result = ps.grad(batch, w, mask)
+            update = result.gradient + hp.weight_decay * w
+            velocity = hp.momentum * velocity + update
+            w = w - lr_at(hp, schedule_offset + step, spe) * velocity
+            w *= mask
+            step += 1
+            loss_sum += result.loss * idx.size
+            if step == hp.rewind_step:
+                rewind = w.copy()
+        losses.append(loss_sum / ctx.n)
+        accs.append(ps.accuracy_on(test_ctx, w, mask))
+        snapshots.append(w.copy())
+    return w, rewind, losses, accs, snapshots
+
+
+class TestInPlaceUpdate:
+    def test_masked_offset_run_matches_reference_bytes(self):
+        spec = ps.NetworkSpec((2, 24, 24, 3))
+        train_ds = ps.gen_spirals(40, 3, 0.15, ps.RngStream(8, 1))
+        test_ds = ps.gen_spirals(20, 3, 0.15, ps.RngStream(8, 2))
+        ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
+        w0 = ps.init_params(spec, ps.RngStream(8, 3))
+        gen = np.random.default_rng(8)
+        mask = (gen.random(spec.param_count) < 0.5) | ~ps.prunable_coords(spec)
+        # 15 steps per epoch; offset 200 starts in schedule epoch 13 and
+        # crosses both decays
+        hp = _hp(epochs=16, batch_size=8, decay_epochs=(14, 15), rewind_step=7)
+        final, rewind, record = train(
+            ctx, test_ds, w0, mask, hp, schedule_offset=200, record_snapshots=True
+        )
+        ref_final, ref_rewind, losses, accs, snapshots = reference_train(
+            ctx, test_ds, w0, mask, hp, 200
+        )
+        assert final.tobytes() == ref_final.tobytes()
+        assert rewind.tobytes() == ref_rewind.tobytes()
+        assert record.train_loss == losses
+        assert record.test_acc == accs
+        assert len(record.epoch_params) == len(snapshots) == 16
+        for got, want in zip(record.epoch_params, snapshots):
+            assert got.tobytes() == want.tobytes()
+        assert record.lr[0] == 0.1 and record.lr[-1] == pytest.approx(0.001)
