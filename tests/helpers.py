@@ -75,6 +75,23 @@ class FlatContext:
         return np.zeros(np.asarray(v).size)
 
 
+class CountingContext:
+    """Counts the loss evaluations made through it.
+
+    Wraps a context, or a 1-D loss ``f(r)`` of the first coordinate.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def loss(self, w, mask) -> float:
+        self.calls += 1
+        if callable(self.inner):
+            return self.inner(float(w[0]))
+        return self.inner.loss(w, mask)
+
+
 def random_net_ctx(seed: int, layer_sizes=(2, 8, 2), n_samples: int = 12):
     """A random network + batch whose pre-activations stay clear of ReLU
     kinks, so finite-difference oracles are valid. Returns (ctx, w)."""

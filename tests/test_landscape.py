@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    CountingContext,
     FlatContext,
     QuadraticContext,
     diag_quadratic,
@@ -14,7 +15,13 @@ from helpers import (
 
 import prunescope as ps
 from prunescope.errors import DegenerateProfileError, UndefinedCosineError
-from prunescope.landscape import EigenReport, barrier_height, exact_diagonal
+from prunescope.landscape import (
+    RADIUS_START,
+    RADIUS_TOL,
+    EigenReport,
+    barrier_height,
+    exact_diagonal,
+)
 
 
 def ones(n):
@@ -146,6 +153,60 @@ class TestBasinRadius:
         r1 = ps.basin_radius(ctx, np.zeros(2), ones(2), d, 0.5)
         r2 = ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0)
         assert abs(r2 - math.sqrt(2.0) * r1) <= 1e-6
+
+
+def _step(crossing):
+    return lambda r: 0.0 if r < crossing else 10.0
+
+
+def _exp_cliff(crossing):
+    # exp(40 (r - crossing)) crosses 1 at the crossing; capped below overflow
+    return lambda r: math.exp(min(40.0 * (r - crossing), 700.0))
+
+
+def _radius_1d(loss, cutoff=1.0):
+    ctx = CountingContext(loss)
+    r = ps.basin_radius(ctx, np.zeros(1), ones(1), np.array([1.0]), cutoff)
+    return r, ctx.calls
+
+
+class TestRootFinder:
+    """Evaluation budget and accuracy of the bracketed Illinois search."""
+
+    def test_anisotropic_quadratic_budget(self):
+        # the quadratic of TestMcRadiusProfile.test_anisotropic_closed_form
+        diag = np.array([1.0, 100.0])
+        rng = ps.RngStream(1)
+        for i in range(500):
+            phi = ps.random_unit_direction(ones(2), rng.derive(i))
+            ctx = CountingContext(diag_quadratic(diag))
+            r = ps.basin_radius(ctx, np.zeros(2), ones(2), phi, 1.0)
+            assert abs(r - math.sqrt(2.0 / float(phi @ (diag * phi)))) <= RADIUS_TOL
+            assert ctx.calls <= 25
+
+    @pytest.mark.parametrize("loss", [_step, _exp_cliff], ids=["step", "exp_cliff"])
+    def test_adversarial_crossing_at_typical_radius(self, loss):
+        r, calls = _radius_1d(loss(3.3))
+        assert abs(r - 3.3) <= RADIUS_TOL
+        assert calls <= 45
+
+    @pytest.mark.parametrize("loss", [_step, _exp_cliff], ids=["step", "exp_cliff"])
+    def test_adversarial_crossings_up_to_the_cap(self, loss):
+        # worst case: a fixed 60-step bisection took at least 62 evaluations
+        # (the center, one bracket point, 60 halvings)
+        for crossing in np.geomspace(0.011, 99.99, 400):
+            r, calls = _radius_1d(loss(float(crossing)))
+            assert abs(r - crossing) <= RADIUS_TOL
+            assert calls < 62
+
+    def test_crossing_at_radius_start(self):
+        # loss = w^2 reaches RADIUS_START^2 exactly at the first bracket point
+        r, _ = _radius_1d(lambda x: x * x, cutoff=RADIUS_START**2)
+        assert abs(r - RADIUS_START) <= RADIUS_TOL
+
+    def test_crossing_beyond_the_cap_is_censored(self):
+        r, _ = _radius_1d(_step(100.5))
+        assert r == math.inf
 
 
 class TestMcRadiusProfile:
