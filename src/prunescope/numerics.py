@@ -1,4 +1,4 @@
-"""Dense-vector primitives, seeded random streams, and small eigensolvers.
+"""Dense-vector primitives, seeded random streams, and a tridiagonal eigensolver.
 
 Vectors are plain 1-D ``numpy.ndarray`` objects of float64; masks are 1-D
 boolean arrays of the same length. Everything here is a pure function of its
@@ -12,7 +12,6 @@ This is what makes per-direction / per-probe work order-independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,70 +151,20 @@ class Tridiagonal:
         return self.diag.size
 
 
-def tridiag_eigenvalues(t: Tridiagonal, max_sweeps: int = 50) -> np.ndarray:
+def tridiag_eigenvalues(t: Tridiagonal) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, sorted descending.
 
-    Implicit-shift QL iteration with deflation (eigenvalues only). Backward
-    stable; each eigenvalue is accurate to a few ulps relative to ||T||.
-    Raises :class:`NumericalFailureError` if any eigenvalue fails to converge
-    within ``max_sweeps`` implicit QL sweeps.
+    LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the dense
+    matrix, which Lanczos keeps small: max(4k, k + 40) rows, 80 for k = 20.
+    Raises :class:`NumericalFailureError` on a non-finite entry, for which
+    LAPACK returns values without an error.
     """
+    if not (np.isfinite(t.diag).all() and np.isfinite(t.offdiag).all()):
+        raise NumericalFailureError("tridiagonal matrix has a non-finite entry")
     n = t.size
-    d = t.diag.copy()
-    e = np.zeros(n)
-    e[: n - 1] = t.offdiag
-    eps = np.finfo(np.float64).eps
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            # locate the first negligible off-diagonal at or beyond l
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise NumericalFailureError(
-                    f"tridiagonal QL failed to converge for eigenvalue {l} "
-                    f"after {max_sweeps} sweeps"
-                )
-            # implicit Wilkinson-style shift from the leading 2x2
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # recover from underflow: skip the rest of this sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-    return np.sort(d)[::-1].copy()
+    dense = np.diag(t.diag)
+    dense[np.arange(1, n), np.arange(n - 1)] = t.offdiag
+    return np.linalg.eigvalsh(dense, UPLO="L")[::-1].copy()
 
 
 def random_unit_direction(mask: np.ndarray, rng: RngStream) -> np.ndarray:

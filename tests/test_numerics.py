@@ -18,6 +18,7 @@ from prunescope.errors import (
     DegeneratePlaneError,
     DimensionMismatchError,
     EmptySubspaceError,
+    NumericalFailureError,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -147,6 +148,13 @@ class TestTridiagEigenvalues:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
             Tridiagonal(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(NumericalFailureError):
+            tridiag_eigenvalues(Tridiagonal(np.array([bad, 1.0]), np.array([1.0])))
+        with pytest.raises(NumericalFailureError):
+            tridiag_eigenvalues(Tridiagonal(np.array([0.0, 1.0]), np.array([bad])))
 
 
 class TestRngStream:
