@@ -239,7 +239,7 @@ class TestCriterion4Trends:
             "4c",
             count >= 8,
             f"(seed-mean barriers > 0.01 at {count}/10 pairs: "
-            f"{[round(b, 3) for b in mean_barriers]})",
+            f"{[round(float(b), 3) for b in mean_barriers]})",
         )
 
     def test_4d_reinit_barrier_dominates(self, default_runs):

@@ -192,7 +192,7 @@ class TestRootFinder:
 
     @pytest.mark.parametrize("loss", [_step, _exp_cliff], ids=["step", "exp_cliff"])
     def test_adversarial_crossings_up_to_the_cap(self, loss):
-        # worst case: a fixed 60-step bisection took at least 62 evaluations
+        # bound: a fixed 60-step bisection needs at least 62 evaluations
         # (the center, one bracket point, 60 halvings)
         for crossing in np.geomspace(0.011, 99.99, 400):
             r, calls = _radius_1d(loss(float(crossing)))
@@ -200,8 +200,8 @@ class TestRootFinder:
             assert calls < 62
 
     def test_crossing_at_radius_start(self):
-        # loss = w^2 reaches RADIUS_START^2 exactly at the first bracket point
-        r, _ = _radius_1d(lambda x: x * x, cutoff=RADIUS_START**2)
+        # loss = w^2 reaches the cutoff exactly at the first bracket point
+        r, _ = _radius_1d(lambda x: x * x, cutoff=RADIUS_START * RADIUS_START)
         assert abs(r - RADIUS_START) <= RADIUS_TOL
 
     def test_crossing_beyond_the_cap_is_censored(self):
