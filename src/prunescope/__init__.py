@@ -1,7 +1,7 @@
 """Trains small dense networks, prunes them iteratively by weight magnitude,
 and measures the geometry of the loss landscape around the solutions."""
 
-from .autodiff import GradResult, grad, hvp
+from .autodiff import GradResult, LossContext, accuracy_on, grad, hvp
 from .data import Dataset, DataSlice, analysis_subset, gen_spirals, load_csv, load_idx
 from .landscape import (
     Barrier,
@@ -21,16 +21,7 @@ from .landscape import (
     taylor_prune_estimate,
     top_k_eigenvalues,
 )
-from .model import (
-    LossContext,
-    NetworkSpec,
-    accuracy_on,
-    apply_mask,
-    dense_mask,
-    init_params,
-    loss_on,
-    prunable_coords,
-)
+from .model import NetworkSpec, apply_mask, dense_mask, init_params, prunable_coords
 from .numerics import RngStream, Tridiagonal, lerp, plane_basis, project_to_plane
 from .numerics import random_unit_direction, tridiag_eigenvalues
 from .pruning import (
@@ -54,6 +45,8 @@ from .trainer import Hyperparams, TrainRecord, lr_at, train
 __all__ = [
     # autodiff
     "GradResult",
+    "LossContext",
+    "accuracy_on",
     "grad",
     "hvp",
     # data
@@ -81,13 +74,10 @@ __all__ = [
     "taylor_prune_estimate",
     "top_k_eigenvalues",
     # model
-    "LossContext",
     "NetworkSpec",
-    "accuracy_on",
     "apply_mask",
     "dense_mask",
     "init_params",
-    "loss_on",
     "prunable_coords",
     # numerics
     "RngStream",

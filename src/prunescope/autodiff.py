@@ -1,5 +1,12 @@
-"""Reverse-mode differentiation of the MLP loss, with exact Hessian-vector
-products.
+"""The loss evaluator: the MLP loss over a data slice, its reverse-mode
+gradient and exact Hessian-vector products.
+
+:class:`LossContext` fixes an architecture and a data slice, which makes the
+loss a pure function of the parameter vector. Its ``loss``, ``grad`` and
+``hvp`` methods are the protocol every landscape probe consumes; they call
+this module's :func:`forward_loss`, :func:`grad` and :func:`hvp`, looked up
+as module globals at call time, so rebinding one of those counts or times
+every evaluation made through a context.
 
 The network is a fixed chain of (W, b) layers, so differentiation is written
 out as straight-line passes over it. One forward pass keeps each layer's
@@ -29,13 +36,77 @@ weight and artifact, bit for bit what the plain expressions give.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
-from .model import LossContext, apply_mask, split_params
+from .errors import DimensionMismatchError, NumericalFailureError
+from .model import NetworkSpec, apply_mask, split_params
+
+
+@dataclass(frozen=True)
+class LossContext:
+    """An immutable (architecture, dataset slice) bundle.
+
+    Fixing both makes the training loss a pure function of the parameter
+    vector, which is what every landscape probe differentiates or scans.
+    """
+
+    spec: NetworkSpec
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        X = np.asarray(self.features, dtype=np.float64)
+        y = np.asarray(self.labels, dtype=np.int64)
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise DimensionMismatchError("features must be a nonempty (n, d) matrix")
+        if X.shape[1] != self.spec.input_size:
+            raise DimensionMismatchError(
+                f"feature width {X.shape[1]} != network input {self.spec.input_size}"
+            )
+        if y.shape != (X.shape[0],):
+            raise DimensionMismatchError("labels must be one integer per sample")
+        if y.min() < 0 or y.max() >= self.spec.output_size:
+            raise ValueError(
+                f"labels must lie in [0, {self.spec.output_size}), "
+                f"got range [{y.min()}, {y.max()}]"
+            )
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "labels", y)
+
+    def rows(self, idx: np.ndarray) -> "LossContext":
+        """The context on the sample rows ``idx`` (a nonempty index array).
+
+        Rows of a validated context are valid, so this skips validation.
+        """
+        sub = object.__new__(LossContext)
+        object.__setattr__(sub, "spec", self.spec)
+        object.__setattr__(sub, "features", self.features[idx])
+        object.__setattr__(sub, "labels", self.labels[idx])
+        return sub
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[0]
+
+    @functools.cached_property
+    def label_index(self) -> np.ndarray:
+        """Flat position of each sample's label in a C-ordered (n, classes) array."""
+        return np.arange(self.n) * self.spec.output_size + self.labels
+
+    # The protocol of the landscape probes, over (w, mask).
+    def loss(self, w: np.ndarray, mask: np.ndarray) -> float:
+        """Mean softmax cross-entropy of the masked network over the slice."""
+        return forward_loss(self, w, mask)
+
+    def grad(self, w: np.ndarray, mask: np.ndarray) -> GradResult:
+        return grad(self, w, mask)
+
+    def hvp(self, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return hvp(self, w, mask, v)
 
 
 @dataclass(frozen=True)
@@ -112,6 +183,15 @@ def forward_loss(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> float:
 def forward_logits(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
     _, _, pre = _forward(ctx, w, mask)
     return pre[-1]
+
+
+def accuracy_on(ctx: LossContext, w: np.ndarray, m: np.ndarray) -> float:
+    """Fraction of samples whose argmax logit matches the label.
+
+    Ties resolve to the lowest class index (numpy argmax convention).
+    """
+    predictions = np.argmax(forward_logits(ctx, w, m), axis=1)
+    return float(np.mean(predictions == ctx.labels))
 
 
 def grad(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> GradResult:

@@ -2,8 +2,9 @@
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_from_dict, load_config, save_config
-from .pipeline import STAGES, load_manifest, run_pipeline
+from .pipeline import STAGES, run_pipeline
 from .plots import emit_plots
+from .tables import load_manifest
 
 __all__ = [
     "Checkpoint",

@@ -27,6 +27,7 @@ import sys
 from ..errors import ConfigError, DivergenceError, NumericalFailureError, PrunescopeError
 from .config import ExperimentConfig, load_config
 from .pipeline import STAGES, run_pipeline
+from .plots import emit_plots
 
 _VERB_STAGES = {"gen-data": "data", "train": "dense", "imp": "imp"}
 # `variant random-prune` runs the stage variant_random_prune, and so on
@@ -73,8 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load(args)
         out = args.out if args.out else cfg.out_dir
         if args.verb == "plot":
-            from .plots import emit_plots
-
             emit_plots(out)
         elif args.verb == "pipeline":
             run_pipeline(cfg, out)

@@ -43,7 +43,8 @@ import numpy as np
 from .. import landscape
 from ..data import Dataset, analysis_subset, gen_spirals, load_csv, load_idx, save_csv
 from ..errors import ArtifactMissingError, ConfigError
-from ..model import LossContext, NetworkSpec, loss_on, accuracy_on, prunable_coords
+from ..autodiff import LossContext, accuracy_on
+from ..model import NetworkSpec, prunable_coords
 from ..numerics import RngStream
 from ..pruning import (
     RANDOM_MASK_STREAM,
@@ -64,7 +65,8 @@ from ..pruning import (
 from ..trainer import Hyperparams, TrainRecord
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, save_config
-from .tables import write_csv
+from .plots import emit_plots
+from .tables import MANIFEST_NAME, load_manifest, write_csv, write_manifest
 
 # stream_id roles, all keyed by the master seed
 DATA_TRAIN_STREAM = 0xDA7A_0001
@@ -75,8 +77,6 @@ RADIUS_STREAM = 0x4AD1_0001
 TAYLOR_STREAM = 0x7A71_0001
 
 VARIANTS = tuple(variant.name for variant in VARIANT_TABLE)
-
-MANIFEST_NAME = "manifest.json"
 
 
 def _sha256(path: Path) -> str:
@@ -196,7 +196,7 @@ def _make_checkpoint(
         role=role,
         step=step,
         seed=state.cfg.master_seed,
-        train_loss=loss_on(state.train_ctx, params, mask),
+        train_loss=state.train_ctx.loss(params, mask),
         test_accuracy=accuracy_on(
             LossContext(state.spec, state.test_ds.features, state.test_ds.labels),
             params,
@@ -298,8 +298,8 @@ def _trajectory_rows(
         rows.append(
             [
                 epoch,
-                loss_on(ctx, current[epoch], mask),
-                loss_on(ctx, project(previous[epoch], mask), mask),
+                ctx.loss(current[epoch], mask),
+                ctx.loss(project(previous[epoch], mask), mask),
             ]
         )
     return rows
@@ -377,8 +377,8 @@ def stage_metrics(state: PipelineState) -> list[str]:
                 name,
                 cp.level,
                 sparsity(cp.mask),
-                loss_on(tctx, cp.params, cp.mask),
-                loss_on(actx, cp.params, cp.mask),
+                tctx.loss(cp.params, cp.mask),
+                actx.loss(cp.params, cp.mask),
                 cp.test_accuracy,
                 _refs(name),
             ]
@@ -404,10 +404,10 @@ def stage_metrics(state: PipelineState) -> list[str]:
             RngStream(state.cfg.master_seed, RANDOM_MASK_STREAM).derive(3),
             prunable,
         )
-        before = loss_on(actx, prev.params, prev.mask)
+        before = actx.loss(prev.params, prev.mask)
         impact_rows = []
         for strategy, mask in (("magnitude", magnitude), ("random", rand)):
-            after = loss_on(actx, project(prev.params, mask), mask)
+            after = actx.loss(project(prev.params, mask), mask)
             impact_rows.append(
                 [
                     strategy,
@@ -532,11 +532,11 @@ def stage_radius(state: PipelineState) -> list[str]:
 
     pr_prev = project(prev.params, final.mask)
     cut_fwd = landscape.basin_cutoff(
-        loss_on(actx, final.params, final.mask), loss_on(actx, pr_prev, final.mask)
+        actx.loss(final.params, final.mask), actx.loss(pr_prev, final.mask)
     )
     rpr_final = project(final.params, prev.mask)
     cut_rev = landscape.basin_cutoff(
-        loss_on(actx, prev.params, prev.mask), loss_on(actx, rpr_final, prev.mask)
+        actx.loss(prev.params, prev.mask), actx.loss(rpr_final, prev.mask)
     )
     profiles = [
         ("final_min", final.params, final.mask, cut_fwd, _refs(final_name)),
@@ -752,8 +752,6 @@ def stage_taylor(state: PipelineState) -> list[str]:
 
 
 def stage_plots(state: PipelineState) -> list[str]:
-    from .plots import emit_plots
-
     return emit_plots(state.out)
 
 
@@ -818,19 +816,6 @@ def _empty_manifest(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _write_manifest(out: Path, manifest: dict) -> None:
-    (out / MANIFEST_NAME).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_manifest(out_dir) -> dict:
-    path = Path(out_dir) / MANIFEST_NAME
-    if not path.exists():
-        raise ArtifactMissingError(f"no {MANIFEST_NAME} under {out_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def run_pipeline(
     cfg: ExperimentConfig,
     out_dir=None,
@@ -872,5 +857,5 @@ def run_pipeline(
         if name not in manifest["complete"]:
             manifest["complete"].append(name)
         manifest["complete"] = [s for s in STAGES if s in manifest["complete"]]
-        _write_manifest(out, manifest)
+        write_manifest(out, manifest)
     return manifest

@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from ..errors import ArtifactMissingError
-from .tables import read_csv_dicts
+from .tables import load_manifest, read_csv_dicts
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
@@ -183,13 +183,7 @@ def heatmap(path, xs, ys, cells, points, title, cap):
 
 
 def _expected_csvs(out: Path) -> list[str]:
-    manifest_artifacts = []
-    from .pipeline import load_manifest  # local import to avoid a cycle
-
-    manifest = load_manifest(out)
-    for stage_artifacts in manifest["stages"].values():
-        manifest_artifacts.extend(stage_artifacts)
-    return manifest_artifacts
+    return [rel for rels in load_manifest(out)["stages"].values() for rel in rels]
 
 
 def emit_plots(artifact_dir) -> list[str]:

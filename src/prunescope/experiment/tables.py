@@ -1,4 +1,4 @@
-"""Deterministic CSV reading/writing for pipeline artifacts.
+"""Artifact I/O: deterministic CSVs and the run manifest.
 
 Floats are written with repr() (shortest round-trip form), so reruns with
 equal inputs produce byte-identical files.
@@ -6,7 +6,12 @@ equal inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
+
+from ..errors import ArtifactMissingError
+
+MANIFEST_NAME = "manifest.json"
 
 
 def format_cell(value) -> str:
@@ -37,3 +42,16 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 def read_csv_dicts(path) -> list[dict[str, str]]:
     header, rows = read_csv(path)
     return [dict(zip(header, row)) for row in rows]
+
+
+def write_manifest(out: Path, manifest: dict) -> None:
+    (out / MANIFEST_NAME).write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def load_manifest(out_dir) -> dict:
+    path = Path(out_dir) / MANIFEST_NAME
+    if not path.exists():
+        raise ArtifactMissingError(f"no {MANIFEST_NAME} under {out_dir}")
+    return json.loads(path.read_text(encoding="utf-8"))

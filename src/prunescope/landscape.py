@@ -1,8 +1,8 @@
 """Loss-landscape geometry probes around trained solutions.
 
 Everything here works through a small context protocol — ``ctx.loss(w, mask)``,
-``ctx.grad(w, mask)``, ``ctx.hvp(w, mask, v)``, ``ctx.dim`` — normally provided
-by :class:`prunescope.model.LossContext` over the frozen analysis subset of
+``ctx.grad(w, mask)`` and ``ctx.hvp(w, mask, v)`` — normally provided by
+:class:`prunescope.autodiff.LossContext` over the frozen analysis subset of
 the training data. Analyses that compare a solution across sparsity levels
 take the mask explicitly because the Hessian, directions, and radii all live
 in the active subspace of whichever level's mask the caller chooses.
@@ -44,6 +44,7 @@ from .errors import (
     NumericalFailureError,
     UndefinedCosineError,
 )
+from .model import apply_mask
 from .numerics import RngStream, Tridiagonal, lerp, plane_basis, project_to_plane
 from .numerics import random_unit_direction, tridiag_eigenvalues
 from .parallel import parallel_map
@@ -494,8 +495,6 @@ def taylor_prune_estimate(
         raise ValueError("m_after must be a subset of m_before")
     if probes < 1:
         raise ConfigError("probe count must be at least 1")
-    from .model import apply_mask
-
     wm = apply_mask(w, m_before)
     delta = apply_mask(wm, m_after) - wm
     g = ctx.grad(wm, m_before).gradient

@@ -4,6 +4,9 @@ The network family is fixed: affine layers with ReLU on hidden layers and a
 softmax cross-entropy head. Parameters live in one flat float64 vector, laid
 out layer by layer as the row-major weight matrix followed by the bias
 vector. Only affine-layer weights are prunable; biases never are.
+
+This module holds the parameter layout only: the spec, the per-layer slices,
+masks and initialization.
 """
 
 from __future__ import annotations
@@ -125,92 +128,3 @@ def apply_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     if w.shape != m.shape:
         raise DimensionMismatchError(f"mask length {m.shape} != params {w.shape}")
     return w * m
-
-
-@dataclass(frozen=True)
-class LossContext:
-    """An immutable (architecture, dataset slice) bundle.
-
-    Fixing both makes the training loss a pure function of the parameter
-    vector, which is what every landscape probe differentiates or scans.
-    """
-
-    spec: NetworkSpec
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise DimensionMismatchError("features must be a nonempty (n, d) matrix")
-        if X.shape[1] != self.spec.input_size:
-            raise DimensionMismatchError(
-                f"feature width {X.shape[1]} != network input {self.spec.input_size}"
-            )
-        if y.shape != (X.shape[0],):
-            raise DimensionMismatchError("labels must be one integer per sample")
-        if y.min() < 0 or y.max() >= self.spec.output_size:
-            raise ValueError(
-                f"labels must lie in [0, {self.spec.output_size}), "
-                f"got range [{y.min()}, {y.max()}]"
-            )
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y)
-
-    def rows(self, idx: np.ndarray) -> "LossContext":
-        """The context on the sample rows ``idx`` (a nonempty index array).
-
-        Rows of a validated context are valid, so this skips validation.
-        """
-        sub = object.__new__(LossContext)
-        object.__setattr__(sub, "spec", self.spec)
-        object.__setattr__(sub, "features", self.features[idx])
-        object.__setattr__(sub, "labels", self.labels[idx])
-        return sub
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @functools.cached_property
-    def label_index(self) -> np.ndarray:
-        """Flat position of each sample's label in a C-ordered (n, classes) array."""
-        return np.arange(self.n) * self.spec.output_size + self.labels
-
-    @property
-    def dim(self) -> int:
-        return self.spec.param_count
-
-    # Protocol used by the landscape module: loss / grad / hvp over (w, mask).
-    def loss(self, w: np.ndarray, mask: np.ndarray) -> float:
-        return loss_on(self, w, mask)
-
-    def grad(self, w: np.ndarray, mask: np.ndarray):
-        from .autodiff import grad as _grad
-
-        return _grad(self, w, mask)
-
-    def hvp(self, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
-        from .autodiff import hvp as _hvp
-
-        return _hvp(self, w, mask, v)
-
-
-def loss_on(ctx: LossContext, w: np.ndarray, m: np.ndarray) -> float:
-    """Mean softmax cross-entropy of the masked network over ctx's slice."""
-    from .autodiff import forward_loss
-
-    return forward_loss(ctx, w, m)
-
-
-def accuracy_on(ctx: LossContext, w: np.ndarray, m: np.ndarray) -> float:
-    """Fraction of samples whose argmax logit matches the label.
-
-    Ties resolve to the lowest class index (numpy argmax convention).
-    """
-    from .autodiff import forward_logits
-
-    logits = forward_logits(ctx, w, m)
-    predictions = np.argmax(logits, axis=1)
-    return float(np.mean(predictions == ctx.labels))

@@ -21,10 +21,10 @@ from enum import Enum
 
 import numpy as np
 
+from .autodiff import LossContext
 from .data import Dataset
 from .errors import DimensionMismatchError, DivergenceError, MaskExhaustedError
 from .model import (
-    LossContext,
     NetworkSpec,
     apply_mask,
     dense_mask,

@@ -6,9 +6,9 @@ every update keeps pruned coordinates exactly zero. The returned record also
 carries the rewind-point snapshot that iterative pruning restarts from.
 
 Each step takes its batch through :meth:`LossContext.rows`, which skips
-re-validating rows of the already validated context, and updates the
-velocity and the weights in place, in two preallocated buffers.
-The in-place form keeps the plain update's operations and their order,
+re-validating rows of the already validated context, differentiates it
+through that context's ``grad``, and updates the velocity and the weights
+in place, in two preallocated buffers. The in-place form keeps the plain update's operations and their order,
 ``g + wd*w``, then ``mom*v + update``, then ``w - lr*v``, then ``w *= mask``,
 because floating-point results depend on that order: reordering would change
 the trained weights, and with them every checkpoint and analysis artifact.
@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import grad
+from .autodiff import LossContext, accuracy_on
 from .data import Dataset, epoch_batches
 from .errors import DivergenceError
-from .model import LossContext, accuracy_on, apply_mask
+from .model import apply_mask
 from .numerics import RngStream
 
 DIVERGENCE_CAP = 1e6
@@ -114,7 +114,7 @@ def train(
     for epoch in range(hp.epochs):
         loss_sum = 0.0
         for batch_idx in epoch_batches(ctx.n, hp.batch_size, epoch, shuffle):
-            result = grad(ctx.rows(batch_idx), w, mask)
+            result = ctx.rows(batch_idx).grad(w, mask)
             if not math.isfinite(result.loss) or result.loss > DIVERGENCE_CAP:
                 raise DivergenceError(
                     f"training diverged at step {step} (loss={result.loss})", step

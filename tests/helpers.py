@@ -1,8 +1,9 @@
 """Shared fixtures: analytic loss contexts and finite-difference oracles.
 
-The landscape module consumes any object with loss/grad/hvp/dim, so analytic
-quadratics double as closed-form oracles for radii, spectra, and Taylor
-estimates.
+The landscape module consumes any object with the evaluator protocol of
+:class:`prunescope.autodiff.LossContext`: ``loss(w, mask)``,
+``grad(w, mask)`` and ``hvp(w, mask, v)``. So analytic quadratics double as
+closed-form oracles for radii, spectra, and Taylor estimates.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class QuadraticContext:
             return np.zeros(self.hessian.shape[0])
         return self.center
 
-    @property
-    def dim(self) -> int:
-        return self.hessian.shape[0]
-
     def loss(self, w, mask) -> float:
         d = np.asarray(w) * np.asarray(mask, bool) - self._center()
         return self.offset + 0.5 * float(d @ self.hessian @ d)
@@ -63,7 +60,6 @@ class FlatContext:
     """Constant loss everywhere (degenerate landscape)."""
 
     value: float = 0.0
-    dim: int = 2
 
     def loss(self, w, mask) -> float:
         return self.value
@@ -131,7 +127,7 @@ def fd_gradient(ctx, w, mask, h: float = 1e-5) -> np.ndarray:
     for i in np.flatnonzero(np.asarray(mask, bool)):
         e = np.zeros(w.size)
         e[i] = h
-        g[i] = (ps.loss_on(ctx, w + e, mask) - ps.loss_on(ctx, w - e, mask)) / (2 * h)
+        g[i] = (ctx.loss(w + e, mask) - ctx.loss(w - e, mask)) / (2 * h)
     return g
 
 

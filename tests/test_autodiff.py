@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
-from helpers import diag_quadratic, fd_gradient, fd_hvp, max_rel_err, random_net_ctx
+from helpers import (
+    CountingContext,
+    diag_quadratic,
+    fd_gradient,
+    fd_hvp,
+    max_rel_err,
+    random_net_ctx,
+)
 
 import prunescope as ps
+from prunescope import autodiff
 from prunescope.autodiff import forward_logits
 from prunescope.errors import NumericalFailureError
 from prunescope.model import join_params, split_params
@@ -69,10 +77,10 @@ class TestGradOracle:
         fd = fd_gradient(ctx, w, mask)
         assert max_rel_err(g, fd) < 1e-6
 
-    def test_loss_matches_loss_on_exactly(self):
+    def test_loss_matches_ctx_loss_exactly(self):
         ctx, w = random_net_ctx(7)
         mask = ps.dense_mask(ctx.spec)
-        assert ps.grad(ctx, w, mask).loss == ps.loss_on(ctx, w, mask)
+        assert ps.grad(ctx, w, mask).loss == ctx.loss(w, mask)
 
     def test_dataset_linearity(self):
         # Eq-style structure: loss over a union is the sample-weighted mean
@@ -83,9 +91,9 @@ class TestGradOracle:
         ctx_a = ps.LossContext(ctx.spec, ctx.features[:half], ctx.labels[:half])
         ctx_b = ps.LossContext(ctx.spec, ctx.features[half:], ctx.labels[half:])
         combined = (
-            half * ps.loss_on(ctx_a, w, mask) + (n - half) * ps.loss_on(ctx_b, w, mask)
+            half * ctx_a.loss(w, mask) + (n - half) * ctx_b.loss(w, mask)
         ) / n
-        assert abs(combined - ps.loss_on(ctx, w, mask)) < 1e-12
+        assert abs(combined - ctx.loss(w, mask)) < 1e-12
 
     def test_nonfinite_forward_names_node(self):
         spec = ps.NetworkSpec((2, 4, 2))
@@ -111,7 +119,7 @@ class TestGradOracle:
             assert hidden[0, 0] == -np.inf and np.isfinite(logits).all()
             for evaluate in (
                 lambda: ps.grad(ctx, w, mask),
-                lambda: ps.loss_on(ctx, w, mask),
+                lambda: ctx.loss(w, mask),
                 lambda: ps.hvp(ctx, w, mask, np.ones(spec.param_count)),
             ):
                 with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
@@ -264,3 +272,53 @@ class TestForwardLogits:
         np.testing.assert_array_equal(
             forward_logits(ctx, w, ps.dense_mask(ctx.spec)), expected
         )
+
+
+class TestEvaluationsAreCounted:
+    """Rebinding autodiff's passes sees every evaluation made through a
+    context, which the benchmark's per-stage counts rely on."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(("forward_loss", "grad", "hvp"), 0)
+        for name in counts:
+            original = getattr(autodiff, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(autodiff, name, counted)
+        return counts
+
+    def test_context_methods(self, counts):
+        ctx, w = random_net_ctx(3)
+        mask = ps.dense_mask(ctx.spec)
+        ctx.loss(w, mask)
+        ctx.grad(w, mask)
+        ctx.hvp(w, mask, np.ones(w.size))
+        assert counts == {"forward_loss": 1, "grad": 1, "hvp": 1}
+
+    def test_train_counts_one_gradient_per_step(self, counts):
+        spec = ps.NetworkSpec((2, 8, 2))
+        data = ps.gen_spirals(16, 2, 0.2, ps.RngStream(0, 1))
+        ctx = ps.LossContext(spec, data.features, data.labels)
+        hp = ps.Hyperparams(
+            epochs=2, batch_size=8, lr0=0.1, momentum=0.9, weight_decay=1e-4,
+            decay_epochs=(1,), decay_factor=0.1, rewind_step=2, seed=5,
+        )
+        w0 = ps.init_params(spec, ps.RngStream(0, 3))
+        _, _, record = ps.train(ctx, data, w0, ps.dense_mask(spec), hp)
+        assert record.steps == 8
+        assert counts["grad"] == record.steps
+
+    def test_basin_radius_counts_every_probe(self, counts):
+        ctx, w = random_net_ctx(3)
+        mask = ps.dense_mask(ctx.spec)
+        direction = ps.random_unit_direction(mask, ps.RngStream(5))
+        cutoff = 2.0 * ctx.loss(w, mask)
+        counts["forward_loss"] = 0
+        ps.basin_radius(ctx, w, mask, direction, cutoff)
+        probes = CountingContext(ctx)
+        ps.basin_radius(probes, w, mask, direction, cutoff)
+        assert counts["forward_loss"] == 2 * probes.calls > 2

@@ -134,7 +134,7 @@ class TestBasinRadius:
 
     def test_flat_loss_censored(self):
         r = ps.basin_radius(
-            FlatContext(0.0, 2),
+            FlatContext(0.0),
             np.zeros(2),
             ones(2),
             np.array([1.0, 0.0]),
@@ -250,7 +250,7 @@ class TestMcRadiusProfile:
     def test_all_censored_rejected(self):
         with pytest.raises(DegenerateProfileError):
             ps.mc_radius_profile(
-                FlatContext(0.0, 2), np.zeros(2), ones(2), 5, 1.0, ps.RngStream(0)
+                FlatContext(0.0), np.zeros(2), ones(2), 5, 1.0, ps.RngStream(0)
             )
 
 
@@ -293,8 +293,8 @@ class TestInterpolation:
         q = w + 0.1
         curve = ps.interpolate_losses(ctx, w, q, n_points=21)
         full = ones(w.size)
-        assert curve.losses[0] == ps.loss_on(ctx, w, full)
-        assert curve.losses[-1] == ps.loss_on(ctx, q, full)
+        assert curve.losses[0] == ctx.loss(w, full)
+        assert curve.losses[-1] == ctx.loss(q, full)
 
     def test_convex_along_quadratic(self):
         gen = np.random.default_rng(0)

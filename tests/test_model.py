@@ -87,7 +87,7 @@ class TestLossOn:
     def test_uniform_logits(self):
         spec = ps.NetworkSpec((3, 4))
         ctx = _ctx(spec, [[0.2, -1.0, 0.5]], [2])
-        loss = ps.loss_on(ctx, np.zeros(spec.param_count), ps.dense_mask(spec))
+        loss = ctx.loss(np.zeros(spec.param_count), ps.dense_mask(spec))
         assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_saturated_margin(self):
@@ -95,7 +95,7 @@ class TestLossOn:
         spec = ps.NetworkSpec((1, 2))
         ctx = _ctx(spec, [[1.0]], [0])
         w = np.array([20.0, 0.0, 0.0, 0.0])  # W=[[20],[0]], b=0
-        assert ps.loss_on(ctx, w, ps.dense_mask(spec)) < 1e-8
+        assert ctx.loss(w, ps.dense_mask(spec)) < 1e-8
 
     def test_partition_linearity(self):
         spec = ps.NetworkSpec((2, 3, 2))
@@ -107,9 +107,9 @@ class TestLossOn:
         m = ps.dense_mask(spec)
         parts = [(0, 4), (4, 9)]
         combined = sum(
-            (b - a) * ps.loss_on(_ctx(spec, X[a:b], y[a:b]), w, m) for a, b in parts
+            (b - a) * _ctx(spec, X[a:b], y[a:b]).loss(w, m) for a, b in parts
         ) / 9
-        assert combined == pytest.approx(ps.loss_on(ctx, w, m), abs=1e-12)
+        assert combined == pytest.approx(ctx.loss(w, m), abs=1e-12)
 
     def test_mask_in_weights_or_argument(self):
         spec = ps.NetworkSpec((2, 4, 2))
@@ -118,9 +118,7 @@ class TestLossOn:
         w = ps.init_params(spec, ps.RngStream(1))
         m = gen.random(spec.param_count) < 0.6
         m[~ps.prunable_coords(spec)] = True
-        assert ps.loss_on(ctx, w, m) == ps.loss_on(
-            ctx, ps.apply_mask(w, m), ps.dense_mask(spec)
-        )
+        assert ctx.loss(w, m) == ctx.loss(ps.apply_mask(w, m), ps.dense_mask(spec))
 
     def test_nonnegative(self):
         spec = ps.NetworkSpec((2, 3, 2))
@@ -128,7 +126,7 @@ class TestLossOn:
         ctx = _ctx(spec, gen.normal(size=(6, 2)), gen.integers(0, 2, size=6))
         for seed in range(10):
             w = ps.init_params(spec, ps.RngStream(seed))
-            assert ps.loss_on(ctx, w, ps.dense_mask(spec)) >= 0.0
+            assert ctx.loss(w, ps.dense_mask(spec)) >= 0.0
 
 
 class TestAccuracyOn:
@@ -182,6 +180,4 @@ class TestLossContextValidation:
         np.testing.assert_array_equal(rows.labels, full.labels)
         np.testing.assert_array_equal(rows.label_index, full.label_index)
         w = ps.init_params(spec, ps.RngStream(2))
-        assert ps.loss_on(rows, w, ps.dense_mask(spec)) == ps.loss_on(
-            full, w, ps.dense_mask(spec)
-        )
+        assert rows.loss(w, ps.dense_mask(spec)) == full.loss(w, ps.dense_mask(spec))

@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import prunescope as ps
+
+SRC = Path(ps.__file__).resolve().parent
 
 
 def test_all_names_no_module():
@@ -24,3 +28,17 @@ def test_star_import_binds_no_module():
     bound = {k: v for k, v in namespace.items() if not k.startswith("__")}
     assert sorted(bound) == sorted(ps.__all__)
     assert not [k for k, v in bound.items() if isinstance(v, types.ModuleType)]
+
+
+def test_every_import_is_at_module_level():
+    # a function-level import hides an import cycle instead of removing it
+    nested = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        nested += [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []

@@ -186,9 +186,7 @@ class TestPerLayerRanking:
         for name in ("fine_tune", "random_reinit"):
             np.testing.assert_array_equal(state.checkpoint(name).mask, last.mask)
         # the magnitude prune-impact row prunes level 1 by IMP's round
-        expected = ps.loss_on(
-            state.analysis_ctx, ps.project(prev.params, last.mask), last.mask
-        )
+        expected = state.analysis_ctx.loss(ps.project(prev.params, last.mask), last.mask)
         rows = read_csv_dicts(out / "analysis/prune_impact.csv")
         magnitude = next(r for r in rows if r["strategy"] == "magnitude")
         assert float(magnitude["loss_after"]) == expected
