@@ -2,7 +2,7 @@
 and measures the geometry of the loss landscape around the solutions."""
 
 from .autodiff import GradResult, LossContext, accuracy_on, grad, hvp
-from .data import Dataset, DataSlice, analysis_subset, gen_spirals, load_csv, load_idx
+from .data import Dataset, analysis_subset, gen_spirals, load_csv, load_idx
 from .landscape import (
     Barrier,
     EigenReport,
@@ -22,7 +22,7 @@ from .landscape import (
     top_k_eigenvalues,
 )
 from .model import NetworkSpec, apply_mask, dense_mask, init_params, prunable_coords
-from .numerics import RngStream, Tridiagonal, lerp, plane_basis, project_to_plane
+from .numerics import RngStream, lerp, plane_basis, project_to_plane
 from .numerics import random_unit_direction, tridiag_eigenvalues
 from .pruning import (
     VARIANT_TABLE,
@@ -50,7 +50,6 @@ __all__ = [
     "grad",
     "hvp",
     # data
-    "DataSlice",
     "Dataset",
     "analysis_subset",
     "gen_spirals",
@@ -81,7 +80,6 @@ __all__ = [
     "prunable_coords",
     # numerics
     "RngStream",
-    "Tridiagonal",
     "lerp",
     "plane_basis",
     "project_to_plane",

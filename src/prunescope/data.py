@@ -1,8 +1,7 @@
 """Datasets: a built-in spiral generator, CSV/IDX loaders, batch iteration.
 
 The spiral generator exists so the whole toolkit runs self-contained; CSV and
-IDX loaders bring in external data. Datasets are immutable after construction
-and slices are cheap index views.
+IDX loaders bring in external data. Datasets are immutable after construction.
 """
 
 from __future__ import annotations
@@ -49,36 +48,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class DataSlice:
-    """Index view into a dataset (unique in-range indices)."""
-
-    dataset: Dataset
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise DimensionMismatchError("slice indices must be a nonempty 1-D array")
-        if idx.min() < 0 or idx.max() >= self.dataset.n:
-            raise IndexError("slice index out of range")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("slice indices must be unique")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.dataset.features[self.indices]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.dataset.labels[self.indices]
-
-    @property
-    def n(self) -> int:
-        return self.indices.size
 
 
 def spiral_arm(
@@ -260,12 +229,13 @@ def epoch_batches(n: int, batch_size: int, epoch: int, rng: RngStream) -> list[n
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def analysis_subset(ds: Dataset, rng: RngStream) -> DataSlice:
-    """Frozen evaluation subset: first ceil(n/5) indices of a seeded permutation.
+def analysis_subset(ds: Dataset, rng: RngStream) -> np.ndarray:
+    """Frozen evaluation subset: the first ceil(n/5) indices of a seeded
+    permutation, as an index array into ``ds``.
 
     Landscape probes (Hessian spectra, radii, interpolations, grids) all
-    evaluate loss on this slice rather than the full training set.
+    evaluate loss on these rows rather than the full training set.
     """
     gen = rng.generator()
     count = math.ceil(ds.n / 5)
-    return DataSlice(ds, gen.permutation(ds.n)[:count])
+    return gen.permutation(ds.n)[:count]

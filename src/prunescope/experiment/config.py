@@ -88,7 +88,8 @@ class ExperimentConfig:
     master_seed: int = 1
     out_dir: str = "."
 
-    def hyperparams(self, seed: int) -> Hyperparams:
+    def hyperparams(self) -> Hyperparams:
+        """Training hyperparameters, seeded by the master seed."""
         t = self.training
         return Hyperparams(
             epochs=t.epochs,
@@ -99,7 +100,7 @@ class ExperimentConfig:
             decay_epochs=t.decay_epochs,
             decay_factor=t.decay_factor,
             rewind_step=t.rewind_step,
-            seed=seed,
+            seed=self.master_seed,
         )
 
 
@@ -175,12 +176,11 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def config_to_dict(cfg: ExperimentConfig, normalize_out_dir: bool = True) -> dict:
-    """Plain-dict form of a config. ``out_dir`` is normalized to "." by
-    default so an echoed config hashes identically wherever the run lives."""
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """Plain-dict form of a config. ``out_dir`` is normalized to "." so an
+    echoed config hashes identically wherever the run lives."""
     data = asdict(cfg)
-    if normalize_out_dir:
-        data["out_dir"] = "."
+    data["out_dir"] = "."
     data["network"] = list(data["network"])
     data["training"]["decay_epochs"] = list(data["training"]["decay_epochs"])
     return data

@@ -164,7 +164,7 @@ class PipelineState:
 
     @property
     def hp(self) -> Hyperparams:
-        return self.cfg.hyperparams(seed=self.cfg.master_seed)
+        return self.cfg.hyperparams()
 
     @property
     def imp_cfg(self) -> ImpConfig:
@@ -259,7 +259,7 @@ def stage_data(state: PipelineState) -> list[str]:
     save_csv(test, state.out / "data/test.csv")
     subset = analysis_subset(train, RngStream(cfg.master_seed, ANALYSIS_SUBSET_STREAM))
     (state.out / "data/analysis_indices.json").write_text(
-        json.dumps([int(i) for i in subset.indices]) + "\n", encoding="utf-8"
+        json.dumps([int(i) for i in subset]) + "\n", encoding="utf-8"
     )
     save_config(cfg, state.out / "config.json")
     return ["config.json", "data/train.csv", "data/test.csv", "data/analysis_indices.json"]
@@ -605,10 +605,7 @@ def stage_interp(state: PipelineState) -> list[str]:
     for name, a, b in _interp_pairs(state):
         cp_a = state.checkpoint(a)
         cp_b = state.checkpoint(b)
-        curve = landscape.interpolate_losses(
-            actx, cp_a.params, cp_b.params, n_points=n_points,
-            endpoint_a=a, endpoint_b=b,
-        )
+        curve = landscape.interpolate_losses(actx, cp_a.params, cp_b.params, n_points=n_points)
         rel = f"analysis/{name}.csv"
         write_csv(
             state.out / rel,

@@ -45,7 +45,7 @@ from .errors import (
     UndefinedCosineError,
 )
 from .model import apply_mask
-from .numerics import RngStream, Tridiagonal, lerp, plane_basis, project_to_plane
+from .numerics import RngStream, lerp, plane_basis, project_to_plane
 from .numerics import random_unit_direction, tridiag_eigenvalues
 from .parallel import parallel_map
 
@@ -114,7 +114,7 @@ def top_k_eigenvalues(
             q_prev = q
             q = z / beta
             beta_prev = beta
-        ritz = tridiag_eigenvalues(Tridiagonal(np.array(alphas), np.array(betas)))
+        ritz = tridiag_eigenvalues(np.array(alphas), np.array(betas))
         positive = ritz[ritz > 0.0][:k]
         report = EigenReport(positive, k, len(alphas), (rng.seed, rng.stream_id))
         if not breakdown or positive.size >= k or len(alphas) >= active:
@@ -300,17 +300,10 @@ class InterpolationCurve:
 
     alphas: np.ndarray
     losses: np.ndarray
-    endpoint_a: str = "p"
-    endpoint_b: str = "q"
 
 
 def interpolate_losses(
-    ctx,
-    p: np.ndarray,
-    q: np.ndarray,
-    n_points: int = 501,
-    endpoint_a: str = "p",
-    endpoint_b: str = "q",
+    ctx, p: np.ndarray, q: np.ndarray, n_points: int = 501
 ) -> InterpolationCurve:
     """Losses at ``n_points`` evenly spaced interpolates of p and q.
 
@@ -326,7 +319,7 @@ def interpolate_losses(
     full = np.ones(p.size, dtype=bool)
     alphas = np.linspace(0.0, 1.0, n_points)
     losses = np.array([ctx.loss(lerp(p, q, float(a)), full) for a in alphas])
-    return InterpolationCurve(alphas, losses, endpoint_a, endpoint_b)
+    return InterpolationCurve(alphas, losses)
 
 
 @dataclass(frozen=True)

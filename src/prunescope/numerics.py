@@ -127,43 +127,28 @@ def project_to_plane(
     return float(np.dot(d, u)), float(np.dot(d, v))
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Symmetric tridiagonal matrix: main diagonal plus one off-diagonal."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.float64)
-        e = np.asarray(self.offdiag, dtype=np.float64)
-        if d.ndim != 1 or d.size == 0:
-            raise DimensionMismatchError("diag must be a nonempty 1-D vector")
-        if e.shape != (d.size - 1,):
-            raise DimensionMismatchError(
-                f"offdiag must have length {d.size - 1}, got {e.shape}"
-            )
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
-
-
-def tridiag_eigenvalues(t: Tridiagonal) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, sorted descending.
+def tridiag_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric tridiagonal matrix with main diagonal
+    ``diag`` and off-diagonal ``offdiag``, sorted descending.
 
     LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the dense
     matrix, which Lanczos keeps small: max(4k, k + 40) rows, 80 for k = 20.
-    Raises :class:`NumericalFailureError` on a non-finite entry, for which
-    LAPACK returns values without an error.
+    Raises :class:`DimensionMismatchError` unless ``offdiag`` is one shorter
+    than a nonempty ``diag``, and :class:`NumericalFailureError` on a
+    non-finite entry, for which LAPACK returns values without an error.
     """
-    if not (np.isfinite(t.diag).all() and np.isfinite(t.offdiag).all()):
+    d = np.asarray(diag, dtype=np.float64)
+    e = np.asarray(offdiag, dtype=np.float64)
+    if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
+        raise DimensionMismatchError(
+            f"need a nonempty diagonal and an off-diagonal one shorter, "
+            f"got shapes {d.shape} and {e.shape}"
+        )
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise NumericalFailureError("tridiagonal matrix has a non-finite entry")
-    n = t.size
-    dense = np.diag(t.diag)
-    dense[np.arange(1, n), np.arange(n - 1)] = t.offdiag
+    n = d.size
+    dense = np.diag(d)
+    dense[np.arange(1, n), np.arange(n - 1)] = e
     return np.linalg.eigvalsh(dense, UPLO="L")[::-1].copy()
 
 

@@ -141,10 +141,10 @@ class TestAnalysisSubset:
     def test_fifth_of_dataset(self):
         ds = ps.gen_spirals(100, 3, 0.1, ps.RngStream(1))
         subset = analysis_subset(ds, ps.RngStream(2))
-        assert subset.n == 60  # ceil(300 / 5)
+        assert subset.shape == (60,)  # ceil(300 / 5)
 
     def test_frozen_given_stream(self):
         ds = ps.gen_spirals(50, 2, 0.1, ps.RngStream(1))
         a = analysis_subset(ds, ps.RngStream(7))
         b = analysis_subset(ds, ps.RngStream(7))
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a, b)

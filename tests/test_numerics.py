@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from prunescope import (
     RngStream,
-    Tridiagonal,
     lerp,
     plane_basis,
     project_to_plane,
@@ -114,18 +113,18 @@ class TestProjectToPlane:
 class TestTridiagEigenvalues:
     def test_one_by_one(self):
         np.testing.assert_array_equal(
-            tridiag_eigenvalues(Tridiagonal(np.array([2.0]), np.array([]))), [2.0]
+            tridiag_eigenvalues(np.array([2.0]), np.array([])), [2.0]
         )
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            tridiag_eigenvalues(Tridiagonal(np.array([1.0, 1.0]), np.array([0.0]))),
+            tridiag_eigenvalues(np.array([1.0, 1.0]), np.array([0.0])),
             [1.0, 1.0],
         )
 
     def test_two_by_two_closed_form(self):
         # char poly of [[0,1],[1,0]] is t^2 - 1 -> eigenvalues +-1
-        vals = tridiag_eigenvalues(Tridiagonal(np.array([0.0, 0.0]), np.array([1.0])))
+        vals = tridiag_eigenvalues(np.array([0.0, 0.0]), np.array([1.0]))
         np.testing.assert_allclose(vals, [1.0, -1.0], atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 50])
@@ -134,7 +133,7 @@ class TestTridiagEigenvalues:
         for _ in range(20):
             d = gen.normal(size=n)
             e = gen.normal(size=n - 1)
-            mine = tridiag_eigenvalues(Tridiagonal(d, e))
+            mine = tridiag_eigenvalues(d, e)
             dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
             ref = np.sort(np.linalg.eigvalsh(dense))[::-1]
             scale = max(np.max(np.abs(ref)), 1e-30)
@@ -142,19 +141,19 @@ class TestTridiagEigenvalues:
 
     def test_descending_order(self):
         gen = np.random.default_rng(5)
-        vals = tridiag_eigenvalues(Tridiagonal(gen.normal(size=9), gen.normal(size=8)))
+        vals = tridiag_eigenvalues(gen.normal(size=9), gen.normal(size=8))
         assert np.all(np.diff(vals) <= 0)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
-            Tridiagonal(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+            tridiag_eigenvalues(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_raises(self, bad):
         with pytest.raises(NumericalFailureError):
-            tridiag_eigenvalues(Tridiagonal(np.array([bad, 1.0]), np.array([1.0])))
+            tridiag_eigenvalues(np.array([bad, 1.0]), np.array([1.0]))
         with pytest.raises(NumericalFailureError):
-            tridiag_eigenvalues(Tridiagonal(np.array([0.0, 1.0]), np.array([bad])))
+            tridiag_eigenvalues(np.array([0.0, 1.0]), np.array([bad]))
 
 
 class TestRngStream:
