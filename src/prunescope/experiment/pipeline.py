@@ -31,6 +31,7 @@ Artifact layout:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -93,7 +94,11 @@ def _refs(*names: str) -> str:
 
 
 class PipelineState:
-    """Loads artifacts lazily so any stage can run against a resumed directory."""
+    """Loads artifacts lazily so any stage can run against a resumed directory.
+
+    The loss contexts are built once, on first use; the data stage sets the
+    datasets before any stage reads one.
+    """
 
     def __init__(self, cfg: ExperimentConfig, out: Path):
         self.cfg = cfg
@@ -101,7 +106,6 @@ class PipelineState:
         self.spec = NetworkSpec(cfg.network)
         self._train_ds: Dataset | None = None
         self._test_ds: Dataset | None = None
-        self._analysis_ctx: LossContext | None = None
         self._checkpoints: dict[str, Checkpoint] = {}
         self._dense: ImpResult | None = None  # handed from dense to imp
 
@@ -130,21 +134,21 @@ class PipelineState:
             self._test_ds = load_csv(self._require_file("data/test.csv"))
         return self._test_ds
 
-    @property
+    @functools.cached_property
     def train_ctx(self) -> LossContext:
         return LossContext(self.spec, self.train_ds.features, self.train_ds.labels)
 
-    @property
+    @functools.cached_property
+    def test_ctx(self) -> LossContext:
+        return LossContext(self.spec, self.test_ds.features, self.test_ds.labels)
+
+    @functools.cached_property
     def analysis_ctx(self) -> LossContext:
-        if self._analysis_ctx is None:
-            path = self._require_file("data/analysis_indices.json")
-            indices = np.asarray(json.loads(path.read_text()), dtype=np.int64)
-            self._analysis_ctx = LossContext(
-                self.spec,
-                self.train_ds.features[indices],
-                self.train_ds.labels[indices],
-            )
-        return self._analysis_ctx
+        path = self._require_file("data/analysis_indices.json")
+        indices = np.asarray(json.loads(path.read_text()), dtype=np.int64)
+        return LossContext(
+            self.spec, self.train_ds.features[indices], self.train_ds.labels[indices]
+        )
 
     # ---- checkpoints ---------------------------------------------------
     def checkpoint(self, name: str) -> Checkpoint:
@@ -197,11 +201,7 @@ def _make_checkpoint(
         step=step,
         seed=state.cfg.master_seed,
         train_loss=state.train_ctx.loss(params, mask),
-        test_accuracy=accuracy_on(
-            LossContext(state.spec, state.test_ds.features, state.test_ds.labels),
-            params,
-            mask,
-        ),
+        test_accuracy=accuracy_on(state.test_ctx, params, mask),
     )
 
 
@@ -368,7 +368,6 @@ def _point_names(state: PipelineState) -> list[str]:
 
 def stage_metrics(state: PipelineState) -> list[str]:
     actx = state.analysis_ctx
-    tctx = state.train_ctx
     rows = []
     for name in _point_names(state):
         cp = state.checkpoint(name)
@@ -377,7 +376,7 @@ def stage_metrics(state: PipelineState) -> list[str]:
                 name,
                 cp.level,
                 sparsity(cp.mask),
-                tctx.loss(cp.params, cp.mask),
+                cp.train_loss,
                 actx.loss(cp.params, cp.mask),
                 cp.test_accuracy,
                 _refs(name),
