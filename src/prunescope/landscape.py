@@ -10,7 +10,8 @@ in the active subspace of whichever level's mask the caller chooses.
 The probes:
 
 * ``top_k_eigenvalues`` — Lanczos (full reorthogonalization) over the
-  masked Hessian-vector operator, keeping the top-k positive Ritz values.
+  masked Hessian-vector operator, keeping the top-k Ritz values above the
+  roundoff floor ``m * eps * theta_max`` after m iterations.
 * ``inverse_volume`` — sum of their logs: larger means a sharper, smaller
   basin.
 * ``basin_radius`` / ``mc_radius_profile`` / ``log_volume`` — Monte-Carlo
@@ -72,12 +73,18 @@ def top_k_eigenvalues(
 
     Runs max(4k, k+40) iterations (capped at the active dimension) with full
     reorthogonalization against all stored basis vectors, then keeps the
-    positive Ritz values. Early breakdown (an invariant Krylov subspace)
-    restarts with a fresh start vector; if every restart still exhausts the
-    operator's reachable image with fewer than k positive values, the report
-    simply carries what exists (degenerate points have low-rank Hessians,
-    and downstream consumers flag short reports). Only a spectrum with no
-    positive value at all is treated as a numerical failure.
+    Ritz values above ``m * eps * theta_max``, where m is the restart's
+    iteration count and theta_max its largest Ritz value. Values under that
+    floor are the roundoff of m steps, not curvature (Parlett, *The
+    Symmetric Eigenvalue Problem*): a rank-deficient Hessian otherwise
+    reports zeros of order 1e-16 as positive.
+
+    Early breakdown (an invariant Krylov subspace) restarts with a fresh
+    start vector; if every restart still exhausts the operator's reachable
+    image with fewer than k positive values, the report simply carries what
+    exists (degenerate points have low-rank Hessians, and downstream
+    consumers flag short reports). Only a spectrum with no positive value at
+    all is treated as a numerical failure.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -115,7 +122,8 @@ def top_k_eigenvalues(
             q = z / beta
             beta_prev = beta
         ritz = tridiag_eigenvalues(np.array(alphas), np.array(betas))
-        positive = ritz[ritz > 0.0][:k]
+        floor = len(alphas) * np.finfo(np.float64).eps * max(ritz[0], 0.0)
+        positive = ritz[ritz > floor][:k]
         report = EigenReport(positive, k, len(alphas), (rng.seed, rng.stream_id))
         if not breakdown or positive.size >= k or len(alphas) >= active:
             return report

@@ -74,6 +74,14 @@ class TestTopKEigenvalues:
         rep = ps.top_k_eigenvalues(ctx, np.zeros(3), ones(3), 5, ps.RngStream(5))
         np.testing.assert_allclose(rep.eigenvalues, [4.0, 2.0], atol=1e-8)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_roundoff_level_ritz_values_dropped(self, seed):
+        # rank 3 in 12 dimensions: every Ritz value past the third is zero up
+        # to roundoff, and none of them may enter the report
+        ctx = diag_quadratic([3.0, 2.0, 1.0] + [0.0] * 9)
+        rep = ps.top_k_eigenvalues(ctx, np.zeros(12), ones(12), 5, ps.RngStream(seed))
+        np.testing.assert_allclose(rep.eigenvalues, [3.0, 2.0, 1.0], rtol=1e-12)
+
 
 class TestInverseVolume:
     def test_unit_spectrum(self):
