@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,8 +115,8 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
     When ``n_classes`` is given, any label >= n_classes raises a range error;
     otherwise the class count is inferred as max(label) + 1.
     """
-    rows: list[list[float]] = []
-    labels: list[int] = []
+    values = array("d")  # row-major features, without a Python object per cell
+    labels = array("q")
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,9 +145,9 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
                 label = int(cells[-1])
             except ValueError as exc:
                 raise DataParseError(f"bad integer label: {exc}", line=lineno) from exc
-            rows.append(feats)
+            values.extend(feats)
             labels.append(label)
-    if not rows:
+    if not labels:
         raise DataParseError(f"{path}: no data rows")
     y = np.asarray(labels, dtype=np.int64)
     if y.min() < 0:
@@ -154,7 +155,7 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
     c = int(y.max()) + 1 if n_classes is None else n_classes
     if y.max() >= c:
         raise LabelRangeError(f"label {y.max()} >= declared class count {c}")
-    return Dataset(np.asarray(rows, dtype=np.float64), y, c)
+    return Dataset(np.array(values, dtype=np.float64).reshape(len(labels), width - 1), y, c)
 
 
 def save_csv(ds: Dataset, path) -> None:

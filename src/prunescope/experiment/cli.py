@@ -5,7 +5,7 @@ read, and nothing else, resuming from whatever already exists in the output
 directory:
 
     gen-data    dataset generation only
-    train       dense training (init / rewind / level00 checkpoints)
+    train       dense training (init / rewind / level00 checkpoints, level-0 iterates)
     imp         all pruning levels
     variant X   one comparison run (one-shot | fine-tune | random-reinit | random-prune)
     analyze Y   one analysis family (eigen | radius | interp | surface | geometry | taylor)

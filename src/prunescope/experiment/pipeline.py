@@ -7,12 +7,18 @@ is the table's order. A request for some stages runs them together with
 everything they read, transitively, in that order.
 
 Each stage writes its artifacts under the output directory and updates
-``manifest.json`` (artifact names + SHA-256 hashes). A rerun with the same
-config skips completed stages by reloading checkpoints from disk, and a
-finished pipeline is byte-for-byte reproducible: every random stream derives
-from the master seed, and no artifact embeds wall-clock state. The dense and
-imp stages train through :func:`prunescope.pruning.imp_levels`, the same IMP
-loop that :func:`prunescope.pruning.imp_run` drives. The four ``variant_*``
+``manifest.json`` (artifact names + SHA-256 hashes). A stage reads its
+inputs only from that directory, never from memory an earlier stage left
+behind, so it does the same work whether its predecessors ran in this call
+or in an earlier one. A rerun with the same config and manifest format skips
+a completed stage only if every artifact it lists is on disk with its
+manifest hash; otherwise the stage reruns, in table order, and rewrites the
+same bytes. A finished pipeline is byte-for-byte reproducible: every random
+stream derives from the master seed, and no artifact embeds wall-clock state.
+The dense and imp stages train through :func:`prunescope.pruning.imp_levels`,
+the same IMP loop that :func:`prunescope.pruning.imp_run` drives; the dense
+stage saves level 0's per-epoch iterates, from which imp starts level 1's
+trajectory. The four ``variant_*``
 stages train rows of :data:`prunescope.pruning.VARIANT_TABLE` through
 :func:`prunescope.pruning.variant_run` (``variant_random_prune`` trains both
 ``rpn1`` and ``rpn2``).
@@ -23,6 +29,7 @@ Artifact layout:
     data/{train,test}.csv            dataset (generated or normalized copy)
     data/analysis_indices.json       frozen loss-evaluation subset
     checkpoints/<name>.ckpt          init, rewind, level00.., variants
+    checkpoints/level00_epochs.npy   level 0's end-of-epoch iterates, (epochs, D) float64
     metrics/train_<name>.csv         per-epoch (epoch, train_loss, test_acc, lr)
     metrics/trajectory_levelXX.csv   level-L vs projected level-(L-1) loss
     analysis/*.csv|*.json            landscape analyses
@@ -78,6 +85,7 @@ RADIUS_STREAM = 0x4AD1_0001
 TAYLOR_STREAM = 0x7A71_0001
 
 VARIANTS = tuple(variant.name for variant in VARIANT_TABLE)
+DENSE_SNAPSHOTS = "checkpoints/level00_epochs.npy"
 
 
 def _sha256(path: Path) -> str:
@@ -96,24 +104,17 @@ def _refs(*names: str) -> str:
 class PipelineState:
     """Loads artifacts lazily so any stage can run against a resumed directory.
 
-    The loss contexts are built once, on first use; the data stage sets the
-    datasets before any stage reads one.
+    The datasets and loss contexts are loaded from the data stage's files
+    and built once, on first use.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: Path):
         self.cfg = cfg
         self.out = out
         self.spec = NetworkSpec(cfg.network)
-        self._train_ds: Dataset | None = None
-        self._test_ds: Dataset | None = None
         self._checkpoints: dict[str, Checkpoint] = {}
-        self._dense: ImpResult | None = None  # handed from dense to imp
 
     # ---- datasets -----------------------------------------------------
-    def set_datasets(self, train: Dataset, test: Dataset) -> None:
-        self._train_ds = train
-        self._test_ds = test
-
     def _require_file(self, rel: str) -> Path:
         path = self.out / rel
         if not path.exists():
@@ -122,17 +123,13 @@ class PipelineState:
             )
         return path
 
-    @property
+    @functools.cached_property
     def train_ds(self) -> Dataset:
-        if self._train_ds is None:
-            self._train_ds = load_csv(self._require_file("data/train.csv"))
-        return self._train_ds
+        return load_csv(self._require_file("data/train.csv"))
 
-    @property
+    @functools.cached_property
     def test_ds(self) -> Dataset:
-        if self._test_ds is None:
-            self._test_ds = load_csv(self._require_file("data/test.csv"))
-        return self._test_ds
+        return load_csv(self._require_file("data/test.csv"))
 
     @functools.cached_property
     def train_ctx(self) -> LossContext:
@@ -252,7 +249,6 @@ def stage_data(state: PipelineState) -> list[str]:
         test = load_idx(src.test_images, src.test_labels, n_classes=train.n_classes)
     else:  # pragma: no cover - config validation rejects this earlier
         raise ConfigError(f"unknown dataset kind {src.kind!r}")
-    state.set_datasets(train, test)
 
     (state.out / "data").mkdir(parents=True, exist_ok=True)
     save_csv(train, state.out / "data/train.csv")
@@ -269,9 +265,8 @@ def stage_dense(state: PipelineState) -> list[str]:
     result = imp_levels(
         state.train_ctx, state.test_ds, state.imp_cfg, 0, record_snapshots=True
     )
-    state._dense = result
     dense = result.levels[0]
-    return [
+    artifacts = [
         state.store_checkpoint(
             "init", _make_checkpoint(state, result.w_init, dense.mask, 0, "init", 0)
         ),
@@ -282,39 +277,38 @@ def stage_dense(state: PipelineState) -> list[str]:
             ),
         ),
     ] + _store_run(state, _level_name(0), dense, "minimum")
+    rows = dense.record.epoch_params
+    with open(state.out / DENSE_SNAPSHOTS, "wb") as fh:  # np.save's format, without stacking
+        header = np.lib.format.header_data_from_array_1_0(rows[0])
+        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (len(rows), rows[0].size)})
+        for row in rows:
+            row.tofile(fh)
+    return artifacts + [DENSE_SNAPSHOTS]
 
 
-def _trajectory_rows(
-    state: PipelineState,
-    current: list[np.ndarray],
-    previous: list[np.ndarray],
-    mask: np.ndarray,
-) -> list[list]:
+def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtifacts) -> list[list]:
     """End-of-epoch full-train losses: level-L iterates vs the previous
-    level's iterates hard-projected onto level L's mask."""
-    ctx = state.train_ctx
-    rows = []
-    for epoch in range(min(len(current), len(previous))):
-        rows.append(
-            [
-                epoch,
-                ctx.loss(current[epoch], mask),
-                ctx.loss(project(previous[epoch], mask), mask),
-            ]
-        )
-    return rows
+    level's iterates hard-projected onto level L's mask. The last iterate is
+    level L's solution, whose loss its checkpoint already holds."""
+    ctx, mask = state.train_ctx, art.mask
+    current, previous = art.record.epoch_params, prev.record.epoch_params
+    final_loss = state.checkpoint(_level_name(art.level)).train_loss
+    return [
+        [
+            epoch,
+            final_loss if epoch == len(current) - 1 else ctx.loss(current[epoch], mask),
+            ctx.loss(project(previous[epoch], mask), mask),
+        ]
+        for epoch in range(min(len(current), len(previous)))
+    ]
 
 
 def stage_imp(state: PipelineState) -> list[str]:
-    dense = state._dense
-    if dense is None:
-        # resumed run: the dense stage's in-memory snapshots are gone, so
-        # trajectories are rebuilt by replaying the dense run deterministically
-        dense = imp_levels(
-            state.train_ctx, state.test_ds, state.imp_cfg, 0, record_snapshots=True
-        )
+    dense = state.checkpoint(_level_name(0))
+    record = TrainRecord(epoch_params=np.load(state._require_file(DENSE_SNAPSHOTS), mmap_mode="r"))
+    prev = LevelArtifacts(0, dense.mask, dense.params, record)
+    done = ImpResult([prev], state.checkpoint("init").params, state.checkpoint("rewind").params)
     artifacts: list[str] = []
-    prev = dense.levels[0]
 
     def persist(art: LevelArtifacts) -> None:
         nonlocal prev
@@ -324,7 +318,7 @@ def stage_imp(state: PipelineState) -> list[str]:
         write_csv(
             state.out / rel,
             ["epoch", "loss_current", "loss_prev_projected"],
-            _trajectory_rows(state, art.record.epoch_params, prev.record.epoch_params, art.mask),
+            _trajectory_rows(state, art, prev),
         )
         artifacts.append(rel)
         # only the newest level's snapshots are read again; free the rest
@@ -333,7 +327,7 @@ def stage_imp(state: PipelineState) -> list[str]:
 
     imp_levels(
         state.train_ctx, state.test_ds, state.imp_cfg, state.cfg.imp.levels,
-        done=dense, on_level=persist, record_snapshots=True,
+        done=done, on_level=persist, record_snapshots=True,
     )
     return artifacts
 
@@ -802,14 +796,12 @@ def _with_reads(requested) -> set[str]:
     return wanted
 
 
-def _empty_manifest(cfg: ExperimentConfig) -> dict:
-    return {
-        "format_version": 1,
-        "config": config_to_dict(cfg),
-        "stages": {},
-        "hashes": {},
-        "complete": [],
-    }
+def _intact(out: Path, manifest: dict, name: str) -> bool:
+    """Whether a completed stage's artifacts are all on disk with their hashes."""
+    return name in manifest["complete"] and all(
+        (out / rel).is_file() and _sha256(out / rel) == manifest["hashes"].get(rel)
+        for rel in manifest["stages"][name]
+    )
 
 
 def run_pipeline(
@@ -821,10 +813,12 @@ def run_pipeline(
     """Execute the requested stages (default: all) and every stage they read,
     in table order, returning the manifest.
 
-    With ``resume`` (the default), stages already marked complete in an
-    existing manifest for the same config are skipped; a config change
-    invalidates the directory and recomputes from scratch. On a stage
-    failure the manifest of completed stages is already on disk.
+    With ``resume`` (the default), an existing manifest of the same format
+    and config is kept, and a stage it marks complete is skipped if every
+    artifact the stage lists is on disk with its manifest hash; a missing or
+    changed artifact reruns its stage. A config or format change recomputes
+    from scratch. On a stage failure the manifest of completed stages is
+    already on disk.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -834,24 +828,28 @@ def run_pipeline(
         raise ConfigError(f"unknown pipeline stages {sorted(unknown)}")
     wanted = _with_reads(requested)
 
-    manifest = _empty_manifest(cfg)
+    manifest = {
+        "format_version": 2,
+        "config": config_to_dict(cfg),
+        "stages": {},
+        "hashes": {},
+        "complete": [],
+    }
     if resume and (out / MANIFEST_NAME).exists():
         previous = load_manifest(out)
-        if previous.get("config") == manifest["config"]:
+        if all(previous.get(key) == manifest[key] for key in ("format_version", "config")):
             manifest = previous
 
     state = PipelineState(cfg, out)
     for stage in STAGE_TABLE:
         name = stage.name
-        if name not in wanted or (resume and name in manifest["complete"]):
+        if name not in wanted or _intact(out, manifest, name):
             continue
         skipped = stage.needs_levels and cfg.imp.levels == 0
         artifacts = [] if skipped else _STAGE_FUNCS[name](state)
         manifest["stages"][name] = sorted(artifacts)
         for rel in artifacts:
             manifest["hashes"][rel] = _sha256(out / rel)
-        if name not in manifest["complete"]:
-            manifest["complete"].append(name)
-        manifest["complete"] = [s for s in STAGES if s in manifest["complete"]]
+        manifest["complete"] = [s for s in STAGES if s == name or s in manifest["complete"]]
         write_manifest(out, manifest)
     return manifest

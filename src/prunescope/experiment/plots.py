@@ -12,6 +12,8 @@ import math
 from pathlib import Path
 
 from ..errors import ArtifactMissingError
+from ..pruning import VARIANT_TABLE
+from .config import load_config
 from .tables import load_manifest, read_csv_dicts
 
 WIDTH, HEIGHT = 640, 420
@@ -257,9 +259,8 @@ def emit_plots(artifact_dir) -> list[str]:
             )
             emitted.append("plots/eigen_final.svg")
             variant_series = [(final, *zip(*sorted(by_name[final])))]
-            for name in ("one_shot", "fine_tune", "random_reinit", "rpn1", "rpn2"):
-                if name in by_name:
-                    variant_series.append((name, *zip(*sorted(by_name[name]))))
+            for name in (v.name for v in VARIANT_TABLE if v.name in by_name):
+                variant_series.append((name, *zip(*sorted(by_name[name]))))
             line_chart(
                 out / "plots/eigen_variants.svg",
                 variant_series,
@@ -316,7 +317,7 @@ def emit_plots(artifact_dir) -> list[str]:
             cells,
             points,
             "Loss surface through the anchor plane",
-            cap=10.0,
+            cap=load_config(need("config.json")).analysis.loss_cap,
         )
         emitted.append("plots/surface.svg")
 

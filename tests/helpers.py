@@ -159,7 +159,7 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> float:
 
 
 def criterion2_config() -> ExperimentConfig:
-    """The small pipeline config of acceptance criterion 2 (63 hashed artifacts)."""
+    """The small pipeline config of acceptance criterion 2 (64 hashed artifacts)."""
     return ExperimentConfig(
         dataset=SpiralsSource(train_per_class=40, test_per_class=20, classes=3, noise_std=0.15),
         network=(2, 16, 3),

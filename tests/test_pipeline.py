@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,6 +9,8 @@ import numpy as np
 import pytest
 
 import prunescope as ps
+from helpers import criterion2_config
+from prunescope import pruning
 from prunescope.errors import ArtifactMissingError, ConfigError, DivergenceError
 from prunescope.experiment import ExperimentConfig, emit_plots, load_manifest, run_pipeline
 from prunescope.experiment import cli
@@ -16,9 +20,12 @@ from prunescope.experiment.config import (
     SpiralsSource,
     TrainingSettings,
     config_to_dict,
+    save_config,
 )
 from prunescope.experiment.pipeline import STAGE_TABLE, STAGES, PipelineState
-from prunescope.experiment.tables import read_csv_dicts
+from prunescope.experiment.tables import read_csv_dicts, write_manifest
+
+SNAPSHOTS = "checkpoints/level00_epochs.npy"
 
 
 def small_config(master_seed=11, levels=2):
@@ -130,6 +137,79 @@ class TestDeterminismAndResume:
         assert manifest["config"]["master_seed"] == 99
 
 
+def _disk_hashes(out, rels) -> dict:
+    return {
+        rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
+        for rel in rels
+        if (out / rel).is_file()
+    }
+
+
+class TestStagesReadTheDisk:
+    """A stage reads its inputs only from the artifact directory, and a
+    resume reruns a completed stage whose artifacts are missing or changed."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fresh")
+        return out, run_pipeline(criterion2_config(), out)["hashes"]
+
+    def _resumed_copy(self, fresh, tmp_path):
+        out = tmp_path / "resumed"
+        shutil.copytree(fresh[0], out)
+        return out
+
+    def test_one_call_per_stage_matches_one_call(self, fresh, tmp_path, monkeypatch):
+        steps: dict[str, list[int]] = {"one call": [], "per stage": []}
+        counted = steps["one call"]
+
+        def counting_train(*args, **kwargs):
+            result = ps.train(*args, **kwargs)
+            counted.append(result[2].steps)
+            return result
+
+        monkeypatch.setattr(pruning, "train", counting_train)
+        one = run_pipeline(criterion2_config(), tmp_path / "one")["hashes"]
+        counted = steps["per stage"]
+        for name in STAGES:
+            run_pipeline(criterion2_config(), tmp_path / "staged", stages=[name])
+        staged = load_manifest(tmp_path / "staged")["hashes"]
+        assert one == staged == fresh[1]
+        assert steps["per stage"] == steps["one call"]
+
+    @pytest.mark.parametrize("damage", ["deleted", "overwritten"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_damaged_artifact_is_rewritten(self, fresh, tmp_path, stage, damage):
+        out = self._resumed_copy(fresh, tmp_path)
+        rel = sorted(load_manifest(out)["stages"][stage])[0]
+        if damage == "deleted":
+            (out / rel).unlink()
+        else:
+            (out / rel).write_bytes(b"damaged\n")
+        manifest = run_pipeline(criterion2_config(), out)
+        assert manifest["hashes"] == fresh[1]
+        assert _disk_hashes(out, fresh[1]) == fresh[1]
+
+    def test_deleted_dense_snapshots_are_rewritten(self, fresh, tmp_path):
+        out = self._resumed_copy(fresh, tmp_path)
+        (out / SNAPSHOTS).unlink()
+        assert run_pipeline(criterion2_config(), out)["hashes"] == fresh[1]
+        assert _disk_hashes(out, fresh[1]) == fresh[1]
+
+    def test_previous_manifest_format_is_recomputed(self, fresh, tmp_path):
+        # a format-1 directory: no dense snapshots, and imp needs rerunning
+        out = self._resumed_copy(fresh, tmp_path)
+        manifest = load_manifest(out)
+        manifest["format_version"] = 1
+        manifest["stages"]["dense"].remove(SNAPSHOTS)
+        del manifest["hashes"][SNAPSHOTS]
+        write_manifest(out, manifest)
+        (out / SNAPSHOTS).unlink()
+        (out / "checkpoints/level01.ckpt").unlink()
+        assert run_pipeline(criterion2_config(), out)["hashes"] == fresh[1]
+        assert _disk_hashes(out, fresh[1]) == fresh[1]
+
+
 class TestStageTable:
     def test_reads_name_earlier_stages(self):
         # run_pipeline closes over reads in one backward pass over the table
@@ -201,6 +281,7 @@ class TestDegenerateConfig:
         assert sorted(names) == [
             "checkpoints/init.ckpt",
             "checkpoints/level00.ckpt",
+            "checkpoints/level00_epochs.npy",
             "checkpoints/rewind.ckpt",
         ]
 
@@ -220,6 +301,26 @@ class TestPlots:
         rows = read_csv_dicts(run_dir / "analysis/radius_final_min.csv")
         censored = sum(1 for r in rows if r["censored"] == "1")
         assert sum(counts) == 24 - censored
+
+    def test_surface_heatmap_honours_loss_cap(self, run_dir, tmp_path):
+        losses = sorted(
+            float(r["loss"]) for r in read_csv_dicts(run_dir / "analysis/surface_grid.csv")
+        )
+
+        def surface_svg(loss_cap: float) -> str:
+            out = tmp_path / f"cap{loss_cap}"
+            shutil.copytree(run_dir, out)
+            cfg = small_config()
+            save_config(
+                replace(cfg, analysis=replace(cfg.analysis, loss_cap=loss_cap)),
+                out / "config.json",
+            )
+            emit_plots(out)
+            return (out / "plots/surface.svg").read_text()
+
+        default = surface_svg(10.0)
+        assert default == (run_dir / "plots/surface.svg").read_text()
+        assert surface_svg(losses[len(losses) // 2]) != default
 
     def test_empty_dir_lists_expected(self, tmp_path):
         with pytest.raises(ArtifactMissingError, match="level_summary"):
