@@ -74,7 +74,7 @@ from ..trainer import Hyperparams, TrainRecord
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, save_config
 from .plots import emit_plots
-from .tables import MANIFEST_NAME, load_manifest, write_csv, write_manifest
+from .tables import load_manifest, write_csv, write_manifest
 
 # stream_id roles, all keyed by the master seed
 DATA_TRAIN_STREAM = 0xDA7A_0001
@@ -816,9 +816,10 @@ def run_pipeline(
     With ``resume`` (the default), an existing manifest of the same format
     and config is kept, and a stage it marks complete is skipped if every
     artifact the stage lists is on disk with its manifest hash; a missing or
-    changed artifact reruns its stage. A config or format change recomputes
-    from scratch. On a stage failure the manifest of completed stages is
-    already on disk.
+    changed artifact reruns its stage. A config or format change, or a
+    manifest that does not parse, recomputes from scratch. The manifest is
+    rewritten atomically after each stage, so on a stage failure the
+    manifest of completed stages is already on disk.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -835,8 +836,11 @@ def run_pipeline(
         "hashes": {},
         "complete": [],
     }
-    if resume and (out / MANIFEST_NAME).exists():
-        previous = load_manifest(out)
+    if resume:
+        try:
+            previous = load_manifest(out)
+        except ArtifactMissingError:  # absent or half-written: recompute
+            previous = {}
         if all(previous.get(key) == manifest[key] for key in ("format_version", "config")):
             manifest = previous
 

@@ -7,6 +7,7 @@ equal inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from ..errors import ArtifactMissingError
@@ -45,13 +46,24 @@ def read_csv_dicts(path) -> list[dict[str, str]]:
 
 
 def write_manifest(out: Path, manifest: dict) -> None:
-    (out / MANIFEST_NAME).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write the manifest atomically: a temp file in ``out``, then a rename.
+    A killed process leaves the previous or the new manifest, never a
+    prefix, and a write that raises also removes the temp file."""
+    tmp = out / f".{MANIFEST_NAME}.tmp"
+    try:
+        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, out / MANIFEST_NAME)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_manifest(out_dir) -> dict:
+    """The run's manifest; :class:`ArtifactMissingError` if it is absent or
+    does not parse."""
     path = Path(out_dir) / MANIFEST_NAME
     if not path.exists():
         raise ArtifactMissingError(f"no {MANIFEST_NAME} under {out_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactMissingError(f"{path} is not valid JSON: {exc}") from exc

@@ -15,10 +15,13 @@ The probes:
 * ``inverse_volume`` — sum of their logs: larger means a sharper, smaller
   basin.
 * ``basin_radius`` / ``mc_radius_profile`` / ``log_volume`` — Monte-Carlo
-  basin geometry: first cutoff crossing along random unit directions. The
-  crossing is bracketed by doubling from 1.28 (censored past 100.0), then
-  found by regula falsi with the Illinois modification, with a bisection
-  step forced whenever two steps in a row fail to halve the bracket. The
+  basin geometry: the distance along random unit directions at which the
+  loss reaches the cutoff. Probes doubling from 1.28 (censored past 100.0)
+  pick the first bracket whose upper probe reaches the cutoff, and regula
+  falsi with the Illinois modification, with a bisection step forced
+  whenever two steps in a row fail to halve the bracket, finds a crossing
+  inside it. That is the first crossing unless the loss crosses the cutoff
+  and falls back below it between two probes (see ``basin_radius``). The
   search stops at a bracket 5e-7 wide: about 14 losses per direction on the
   default nets.
 * ``interpolate_losses`` / ``barrier_height`` — loss along the straight
@@ -165,15 +168,25 @@ def basin_cutoff(loss_a: float, loss_b: float) -> float:
 def basin_radius(
     ctx, center: np.ndarray, m: np.ndarray, direction: np.ndarray, cutoff: float
 ) -> float:
-    """Distance to the first loss >= cutoff along a unit direction.
+    """Distance along a unit direction at which the loss reaches the cutoff,
+    on the doubling grid of probes.
 
-    Brackets the crossing by doubling from ``RADIUS_START`` up to the
-    ``RADIUS_MAX`` (100.0) search cap, returning ``math.inf`` (censored) if
-    the loss never reaches the cutoff. The start, 1.28 = 0.01 * 2**7, is near
-    the typical radius and on the grid of a doubling from 0.01: unless the
-    loss reaches the cutoff below 1.28, the bracket is the one that finer
-    doubling finds, and on a ray that crosses the cutoff more than once the
-    bracket decides which crossing is reported.
+    Probes the loss at ``RADIUS_START * 2**k`` (1.28, 2.56, ..., the last
+    capped at the ``RADIUS_MAX`` = 100.0 search cap) and takes the first
+    bracket ``[1.28 * 2**(k-1), 1.28 * 2**k]`` (``[0, 1.28]`` for k = 0)
+    whose upper probe reaches the cutoff; returns ``math.inf`` (censored) if
+    no probe does. The result is a crossing inside that bracket. It is the
+    first crossing only if the loss does not cross the cutoff and fall back
+    below it inside an earlier bracket, where no probe sees it; if the
+    bracket itself holds several crossings, the search converges to one of
+    them. On seed 2 of the default config, ``final_projected_prev`` direction
+    301 crosses at 11.07 but lies below the cutoff at the probes 10.24 and
+    20.48, so 21.74 is reported. ``final_min`` direction 292 reports its first
+    crossing, 8.571, only because the probe at 10.24 lies above the cutoff:
+    doubling from 1.0, whose probes at 8 and 16 both lie below it, reports
+    20.33. The start, 1.28 = 0.01 * 2**7, is near the typical radius and on
+    the grid of a doubling from 0.01: unless one of that grid's probes below
+    1.28 reaches the cutoff, both grids pick the same bracket.
 
     Inside the bracket, keeps ``loss(lo) < cutoff <= loss(hi)`` while taking
     regula falsi steps on ``loss - cutoff`` with the Illinois modification

@@ -17,7 +17,6 @@ the trained weights, and with them every checkpoint and analysis artifact.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,6 @@ class TrainRecord:
     test_acc: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)  # at each epoch's first step
     steps: int = 0
-    wall_time: float = 0.0
     epoch_params: list[np.ndarray] | None = None
 
 
@@ -100,7 +98,6 @@ def train(
     rewind snapshot is the parameter vector after ``hp.rewind_step`` steps
     (it equals the final vector when training ends first).
     """
-    t0 = time.perf_counter()
     steps_per_epoch = math.ceil(ctx.n / hp.batch_size)
     w = apply_mask(start, mask)
     velocity = np.zeros_like(w)
@@ -141,7 +138,6 @@ def train(
             record.epoch_params.append(w.copy())
 
     record.steps = step
-    record.wall_time = time.perf_counter() - t0
     if rewind is None:
         rewind = w.copy()
     return w, rewind, record

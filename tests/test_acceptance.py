@@ -2,8 +2,13 @@
 reproduction on the default experiment (3 master seeds), and structural
 artifact checks. Each criterion prints one PASS/FAIL line."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,9 @@ from helpers import (
 import prunescope as ps
 from prunescope.experiment import ExperimentConfig, run_pipeline
 from prunescope.experiment.tables import read_csv_dicts
+from prunescope.experiment.trends import trend_criteria
 
+ROOT = Path(__file__).resolve().parent.parent
 N_SEEDS = 3
 PIPELINE_TIME_BUDGET = 900.0  # seconds per default run
 
@@ -135,18 +142,21 @@ class TestCriterion1Oracles:
 
 @pytest.fixture(scope="session")
 def default_runs(tmp_path_factory):
-    """Three full default pipelines, one per master seed, with wall times."""
+    """Three full default pipelines under ``<base>/seed{N}``, with wall times."""
+    base = tmp_path_factory.mktemp("default")
     runs = []
     for seed in range(1, N_SEEDS + 1):
-        out = tmp_path_factory.mktemp(f"default_seed{seed}")
+        out = base / f"seed{seed}"
         t0 = time.perf_counter()
         run_pipeline(ExperimentConfig(master_seed=seed), out)
         runs.append((out, time.perf_counter() - t0))
     return runs
 
 
-def _summaries(runs, name):
-    return [read_csv_dicts(out / f"analysis/{name}") for out, _ in runs]
+@pytest.fixture(scope="session")
+def trends(default_runs):
+    """Criteria 4a-4g and the seed-mean test accuracies of the default runs."""
+    return trend_criteria([out for out, _ in default_runs])
 
 
 class TestCriterion2Determinism:
@@ -193,112 +203,81 @@ class TestCriterion3SparsityArithmetic:
         )
 
 
-VARIANTS = ("one_shot", "fine_tune", "random_reinit", "rpn1", "rpn2")
+def _detail(c: dict, what: str, digits: int = 3) -> str:
+    """A criterion's win count and rounded values, for its report line."""
+    return f"({c['wins']}/{c['of']} {what}: {[round(v, digits) for v in c['values']]})"
 
 
 class TestCriterion4Trends:
-    def _vprime(self, runs):
-        return [
-            {r["name"]: float(r["vprime"]) for r in rows}
-            for rows in _summaries(runs, "eigen_summary.csv")
-        ]
+    def test_4a_level_volume_ordering(self, trends):
+        c = trends[0]["4a"]
+        report("4a", c["wins"] >= 7, _detail(c, "levels with the seed-mean V' ordering", 1))
 
-    def test_4a_level_volume_ordering(self, default_runs):
-        eigs = self._vprime(default_runs)
-        levels = ExperimentConfig().imp.levels
-        wins = 0
-        for L in range(1, levels + 1):
-            v_min = np.mean([e[f"level{L:02d}"] for e in eigs])
-            v_proj = np.mean([e[f"pr_level{L - 1:02d}_on_{L:02d}"] for e in eigs])
-            wins += v_min < v_proj
-        report("4a", wins >= 7, f"(seed-mean V' ordering holds at {wins}/{levels} levels)")
+    def test_4b_final_level_radius(self, trends):
+        c = trends[0]["4b"]
+        report("4b", c["wins"] >= 2, _detail(c, "seeds with the larger radius at the minimum"))
 
-    def test_4b_final_level_radius(self, default_runs):
-        wins = 0
-        details = []
-        for rows in _summaries(default_runs, "radius_summary.csv"):
-            by = {r["name"]: float(r["mean_radius"]) for r in rows}
-            wins += by["final_min"] > by["final_projected_prev"]
-            details.append(f"{by['final_min']:.3f}>{by['final_projected_prev']:.3f}")
-        report("4b", wins >= 2, f"(per-seed wins {wins}/3: {details})")
+    def test_4c_successive_barriers(self, trends):
+        c = trends[0]["4c"]
+        report("4c", c["wins"] >= 8, _detail(c, "level pairs with a seed-mean barrier > 0.01"))
 
-    def _barriers(self, runs):
-        levels = ExperimentConfig().imp.levels
-        per_seed = []
-        for rows in _summaries(runs, "interp_summary.csv"):
-            by = {r["name"]: float(r["barrier_height"]) for r in rows}
-            per_seed.append(
-                [by[f"interp_level{L - 1:02d}_level{L:02d}"] for L in range(1, levels + 1)]
-            )
-        return np.array(per_seed)
+    def test_4d_reinit_barrier_dominates(self, trends):
+        (reinit,) = trends[0]["4d"]["values"]
+        succ_mean = float(np.mean(trends[0]["4c"]["values"]))
+        detail = f"(reinit barrier {reinit:.3f} vs 2x successive mean {2 * succ_mean:.3f})"
+        report("4d", reinit >= 2.0 * succ_mean, detail)
 
-    def test_4c_successive_barriers(self, default_runs):
-        mean_barriers = self._barriers(default_runs).mean(axis=0)
-        count = int(np.sum(mean_barriers > 0.01))
-        report(
-            "4c",
-            count >= 8,
-            f"(seed-mean barriers > 0.01 at {count}/10 pairs: "
-            f"{[round(float(b), 3) for b in mean_barriers]})",
+    def test_4e_prune_impact_and_final_accuracy(self, trends):
+        criteria, means = trends
+        impact_ok = criteria["4e_impact"]["wins"] == N_SEEDS
+        acc_ok = criteria["4e_accuracy"]["wins"] == len(ps.VARIANT_TABLE)
+        accuracies = ", ".join(f"{k}={v:.4f}" for k, v in means.items())
+        detail = f"(magnitude<random impact all seeds: {impact_ok}; mean accuracies {accuracies})"
+        report("4e", impact_ok and acc_ok, detail)
+
+    def test_4f_fine_tune_sharper(self, trends):
+        c = trends[0]["4f"]
+        report("4f", c["wins"] >= 2, _detail(c, "seeds with a sharper fine_tune, V' margins", 1))
+
+    def test_4g_one_shot_sharper(self, trends):
+        c = trends[0]["4g"]
+        report("4g", c["wins"] >= 2, _detail(c, "seeds with a sharper one_shot, V' margins", 1))
+
+
+# TestCriterion4Trends' literal thresholds: the wins each criterion needs
+GATE_NEEDED = {"4a": 7, "4b": 2, "4c": 8, "4d": 1, "4e_impact": N_SEEDS,
+               "4e_accuracy": len(ps.VARIANT_TABLE), "4f": 2, "4g": 2}
+
+
+class TestTrendReportScript:
+    def test_json_gives_the_gate_verdicts(self, default_runs, trends, tmp_path):
+        """``scripts/trend_report.py`` resumes the fixture's runs and writes
+        the criteria the gate asserts, with the gate's thresholds."""
+        path = tmp_path / "trends.json"
+        src = str(Path(ps.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "trend_report.py"),
+             "--seeds", "1", "2", "3", "--out", str(default_runs[0][0].parent),
+             "--json", str(path)],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=600,
         )
-
-    def test_4d_reinit_barrier_dominates(self, default_runs):
-        succ_mean = float(self._barriers(default_runs).mean())
-        reinit = np.mean(
-            [
-                {r["name"]: float(r["barrier_height"]) for r in rows}["interp_random_reinit"]
-                for rows in _summaries(default_runs, "interp_summary.csv")
-            ]
-        )
-        report(
-            "4d",
-            reinit >= 2.0 * succ_mean,
-            f"(reinit barrier {reinit:.3f} vs 2x successive mean {2 * succ_mean:.3f})",
-        )
-
-    def test_4e_prune_impact_and_final_accuracy(self, default_runs):
-        impact_ok = True
-        for rows in _summaries(default_runs, "prune_impact.csv"):
-            by = {r["strategy"]: float(r["delta"]) for r in rows}
-            impact_ok &= by["magnitude"] < by["random"]
-        acc = {name: [] for name in ("level10",) + VARIANTS}
-        for rows in _summaries(default_runs, "level_summary.csv"):
-            by = {r["name"]: float(r["test_accuracy"]) for r in rows}
-            for name in acc:
-                acc[name].append(by[name])
-        means = {name: float(np.mean(vals)) for name, vals in acc.items()}
-        acc_ok = all(means["level10"] >= means[v] for v in VARIANTS)
-        report(
-            "4e",
-            impact_ok and acc_ok,
-            f"(magnitude<random impact all seeds: {impact_ok}; mean accuracies "
-            + ", ".join(f"{k}={v:.4f}" for k, v in means.items())
-            + ")",
-        )
-
-    def test_4f_fine_tune_sharper(self, default_runs):
-        eigs = self._vprime(default_runs)
-        final = f"level{ExperimentConfig().imp.levels:02d}"
-        wins = sum(e["fine_tune"] > e[final] for e in eigs)
-        report(
-            "4f",
-            wins >= 2,
-            f"(per-seed wins {wins}/3: "
-            + ", ".join(f"{e['fine_tune']:.1f} vs {e[final]:.1f}" for e in eigs)
-            + ")",
-        )
-
-    def test_4g_one_shot_sharper(self, default_runs):
-        eigs = self._vprime(default_runs)
-        final = f"level{ExperimentConfig().imp.levels:02d}"
-        wins = sum(e["one_shot"] > e[final] for e in eigs)
-        report(
-            "4g",
-            wins >= 2,
-            f"(per-seed wins {wins}/3: "
-            + ", ".join(f"{e['one_shot']:.1f} vs {e[final]:.1f}" for e in eigs)
-            + ")",
-        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        criteria, means = trends
+        assert doc == {"seeds": [1, 2, 3], "criteria": criteria, "mean_test_accuracy": means}
+        c = doc["criteria"]
+        assert set(c) == set(GATE_NEEDED)
+        for key, needed in GATE_NEEDED.items():
+            assert (c[key]["needed"], c[key]["pass"]) == (needed, c[key]["wins"] >= needed), key
+        (reinit,) = c["4d"]["values"]
+        assert c["4d"]["pass"] == (reinit >= 2.0 * np.mean(c["4c"]["values"]))
+        impact_ok = c["4e_impact"]["wins"] == N_SEEDS
+        acc_ok = c["4e_accuracy"]["wins"] == len(ps.VARIANT_TABLE)
+        assert (c["4e_impact"]["pass"] and c["4e_accuracy"]["pass"]) == (impact_ok and acc_ok)
 
 
 class TestCriterion5Structure:

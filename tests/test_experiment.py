@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from prunescope.experiment import (
 )
 from prunescope.experiment.config import config_to_dict, load_config, save_config
 from prunescope.experiment.tables import format_cell
+from prunescope.experiment.trends import trend_criteria
 
 
 def _random_checkpoint(seed=0):
@@ -153,3 +155,14 @@ class TestFormatCell:
         assert format_cell(0.1) == "0.1"
         assert format_cell(True) == "1"
         assert format_cell(7) == "7"
+
+
+class TestTrendCriteria:
+    def test_runs_with_different_level_counts_raise(self, tmp_path):
+        default = ExperimentConfig()
+        for levels in (1, 2):
+            (tmp_path / f"seed{levels}").mkdir()
+            cfg = replace(default, imp=replace(default.imp, levels=levels))
+            save_config(cfg, tmp_path / f"seed{levels}" / "config.json")
+        with pytest.raises(ConfigError, match="imp.levels"):
+            trend_criteria([tmp_path / "seed1", tmp_path / "seed2"])

@@ -42,3 +42,16 @@ def test_every_import_is_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
         ]
     assert nested == []
+
+
+def test_no_module_imports_the_trend_criteria():
+    # experiment/trends.py reads finished runs; the pipeline and CLI never load it
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                names += [alias.name for alias in node.names]
+                if any(name.split(".")[-1] == "trends" for name in names):
+                    importers.append(str(path.relative_to(SRC)))
+    assert importers == []

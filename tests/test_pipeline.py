@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +210,34 @@ class TestStagesReadTheDisk:
         assert run_pipeline(criterion2_config(), out)["hashes"] == fresh[1]
         assert _disk_hashes(out, fresh[1]) == fresh[1]
 
+    def test_half_written_manifest_is_recomputed(self, fresh, tmp_path):
+        out = self._resumed_copy(fresh, tmp_path)
+        path = out / "manifest.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert run_pipeline(criterion2_config(), out)["hashes"] == fresh[1]
+        assert load_manifest(out)["hashes"] == fresh[1]
+        assert _disk_hashes(out, fresh[1]) == fresh[1]
+
+
+class TestManifestWrite:
+    def test_interrupted_write_keeps_the_previous_manifest(self, tmp_path, monkeypatch):
+        write_manifest(tmp_path, {"complete": ["data"]})
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        before = (tmp_path / "manifest.json").read_bytes()
+
+        def half_write(path, text, encoding=None):
+            with open(path, "w", encoding=encoding) as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError):
+            write_manifest(tmp_path, {"complete": ["data", "dense"]})
+        monkeypatch.undo()
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
 
 class TestStageTable:
     def test_reads_name_earlier_stages(self):
@@ -365,6 +394,19 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert (out / "manifest.json").exists()
         assert (out / "plots/surface.svg").exists()
+
+    def test_half_written_manifest(self, tmp_path):
+        # plot reports it; gen-data recomputes the data stage
+        cfg_path = tmp_path / "cfg.json"
+        save_config(criterion2_config(), cfg_path)
+        out = tmp_path / "out"
+        run_pipeline(criterion2_config(), out, stages=["data"])
+        path = out / "manifest.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert cli.main(["plot", "--out", str(out)]) == 1
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert load_manifest(out)["complete"] == ["data"]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
