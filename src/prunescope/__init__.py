@@ -31,6 +31,7 @@ from .pruning import (
     LevelArtifacts,
     Strategy,
     Variant,
+    imp_dense,
     imp_levels,
     imp_run,
     magnitude_mask,
@@ -92,6 +93,7 @@ __all__ = [
     "LevelArtifacts",
     "Strategy",
     "Variant",
+    "imp_dense",
     "imp_levels",
     "imp_run",
     "magnitude_mask",

@@ -12,8 +12,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..pruning import Strategy
+from ..pruning import ImpConfig
 from ..trainer import Hyperparams
+from .tables import write_json
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,6 @@ class ImpSettings:
     ft_epochs: int = 40
     per_layer: bool = False
 
-    def __post_init__(self):
-        Strategy(self.strategy)  # validates the name
-
 
 @dataclass(frozen=True)
 class AnalysisSettings:
@@ -88,20 +86,16 @@ class ExperimentConfig:
     master_seed: int = 1
     out_dir: str = "."
 
+    def __post_init__(self):
+        self.imp_config()  # the training and IMP loops' own value checks
+
     def hyperparams(self) -> Hyperparams:
         """Training hyperparameters, seeded by the master seed."""
-        t = self.training
-        return Hyperparams(
-            epochs=t.epochs,
-            batch_size=t.batch_size,
-            lr0=t.lr0,
-            momentum=t.momentum,
-            weight_decay=t.weight_decay,
-            decay_epochs=t.decay_epochs,
-            decay_factor=t.decay_factor,
-            rewind_step=t.rewind_step,
-            seed=self.master_seed,
-        )
+        return Hyperparams(seed=self.master_seed, **asdict(self.training))
+
+    def imp_config(self) -> ImpConfig:
+        """The IMP settings with :meth:`hyperparams`."""
+        return ImpConfig(hp=self.hyperparams(), **asdict(self.imp))
 
 
 _DATASET_KINDS = {"spirals": SpiralsSource, "csv": CsvSource, "idx": IdxSource}
@@ -163,7 +157,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(data["out_dir"], str):
             raise ConfigError("out_dir: must be a string")
         kwargs["out_dir"] = data["out_dir"]
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -187,7 +184,4 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, config_to_dict(cfg))

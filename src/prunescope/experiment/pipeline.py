@@ -6,20 +6,24 @@ stages whose artifacts it reads, and whether it only runs when
 is the table's order. A request for some stages runs them together with
 everything they read, transitively, in that order.
 
-Each stage writes its artifacts under the output directory and updates
-``manifest.json`` (artifact names + SHA-256 hashes). A stage reads its
-inputs only from that directory, never from memory an earlier stage left
-behind, so it does the same work whether its predecessors ran in this call
-or in an earlier one. A rerun with the same config and manifest format skips
-a completed stage only if every artifact it lists is on disk with its
-manifest hash; otherwise the stage reruns, in table order, and rewrites the
-same bytes. A finished pipeline is byte-for-byte reproducible: every random
-stream derives from the master seed, and no artifact embeds wall-clock state.
-The dense and imp stages train through :func:`prunescope.pruning.imp_levels`,
-the same IMP loop that :func:`prunescope.pruning.imp_run` drives; the dense
-stage saves level 0's per-epoch iterates, from which imp starts level 1's
-trajectory. The four ``variant_*``
-stages train rows of :data:`prunescope.pruning.VARIANT_TABLE` through
+Each stage writes its artifacts under the output directory through
+:meth:`PipelineState.artifact`, which records every path it hands out as an
+output of the running stage; ``manifest.json`` lists them with their SHA-256
+hashes. A stage reads its inputs only from that directory, never from memory
+an earlier stage left behind, so it does the same work whether its
+predecessors ran in this call or in an earlier one. A rerun with the same
+config and manifest format skips a completed stage only if every artifact it
+lists is on disk with its manifest hash; otherwise the stage reruns, in table
+order, and rewrites the same bytes. A finished pipeline is byte-for-byte
+reproducible: every random stream derives from the master seed, and no
+artifact embeds wall-clock state.
+
+The dense stage trains level 0 through :func:`prunescope.pruning.imp_dense`
+and saves its per-epoch iterates. The imp stage starts
+:func:`prunescope.pruning.imp_levels` from the level-0 and rewind
+checkpoints and writes each level as the generator yields it, with its
+trajectory against the level before. The four ``variant_*`` stages train
+rows of :data:`prunescope.pruning.VARIANT_TABLE` through
 :func:`prunescope.pruning.variant_run` (``variant_random_prune`` trains both
 ``rpn1`` and ``rpn2``).
 
@@ -57,24 +61,20 @@ from ..numerics import RngStream
 from ..pruning import (
     RANDOM_MASK_STREAM,
     VARIANT_TABLE,
-    ImpConfig,
-    ImpResult,
     LevelArtifacts,
-    Strategy,
+    imp_dense,
     imp_levels,
-    magnitude_mask,
     project,
     prune_by_magnitude,
     random_mask,
-    ranking_slices,
     sparsity,
     variant_run,
 )
-from ..trainer import Hyperparams, TrainRecord
+from ..trainer import TrainRecord
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, save_config
 from .plots import emit_plots
-from .tables import load_manifest, write_csv, write_manifest
+from .tables import load_manifest, write_csv, write_json, write_manifest
 
 # stream_id roles, all keyed by the master seed
 DATA_TRAIN_STREAM = 0xDA7A_0001
@@ -102,7 +102,8 @@ def _refs(*names: str) -> str:
 
 
 class PipelineState:
-    """Loads artifacts lazily so any stage can run against a resumed directory.
+    """Loads artifacts lazily so any stage can run against a resumed directory,
+    and records the artifacts the running stage writes.
 
     The datasets and loss contexts are loaded from the data stage's files
     and built once, on first use.
@@ -113,6 +114,15 @@ class PipelineState:
         self.out = out
         self.spec = NetworkSpec(cfg.network)
         self._checkpoints: dict[str, Checkpoint] = {}
+        self.written: set[str] = set()  # by the running stage
+
+    def artifact(self, rel: str) -> Path:
+        """The path to write artifact ``rel`` to, with its directory made;
+        ``rel`` is recorded as an output of the running stage."""
+        path = self.out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.written.add(rel)
+        return path
 
     # ---- datasets -----------------------------------------------------
     def _require_file(self, rel: str) -> Path:
@@ -155,30 +165,9 @@ class PipelineState:
             )
         return self._checkpoints[name]
 
-    def store_checkpoint(self, name: str, cp: Checkpoint) -> str:
-        rel = f"checkpoints/{name}.ckpt"
-        path = self.out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(path, cp)
+    def store_checkpoint(self, name: str, cp: Checkpoint) -> None:
+        save_checkpoint(self.artifact(f"checkpoints/{name}.ckpt"), cp)
         self._checkpoints[name] = cp
-        return rel
-
-    @property
-    def hp(self) -> Hyperparams:
-        return self.cfg.hyperparams()
-
-    @property
-    def imp_cfg(self) -> ImpConfig:
-        c = self.cfg.imp
-        return ImpConfig(
-            levels=c.levels,
-            prune_fraction_per_round=c.prune_fraction_per_round,
-            strategy=Strategy(c.strategy),
-            hp=self.hp,
-            ft_lr=c.ft_lr,
-            ft_epochs=c.ft_epochs,
-            per_layer=c.per_layer,
-        )
 
 
 def _make_checkpoint(
@@ -202,22 +191,16 @@ def _make_checkpoint(
     )
 
 
-def _write_train_metrics(state: PipelineState, name: str, record: TrainRecord) -> str:
-    rows = [
-        [epoch, loss, acc, lr]
-        for epoch, (loss, acc, lr) in enumerate(
-            zip(record.train_loss, record.test_acc, record.lr)
-        )
-    ]
-    rel = f"metrics/train_{name}.csv"
-    write_csv(state.out / rel, ["epoch", "train_loss", "test_acc", "lr"], rows)
-    return rel
-
-
-def _store_run(state: PipelineState, name: str, art: LevelArtifacts, role: str) -> list[str]:
+def _store_run(state: PipelineState, name: str, art: LevelArtifacts, role: str) -> None:
     """Checkpoint and per-epoch train metrics of one trained solution."""
     cp = _make_checkpoint(state, art.solution, art.mask, art.level, role, art.record.steps)
-    return [state.store_checkpoint(name, cp), _write_train_metrics(state, name, art.record)]
+    state.store_checkpoint(name, cp)
+    rows = zip(art.record.train_loss, art.record.test_acc, art.record.lr)
+    write_csv(
+        state.artifact(f"metrics/train_{name}.csv"),
+        ["epoch", "train_loss", "test_acc", "lr"],
+        [[epoch, *row] for epoch, row in enumerate(rows)],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +208,7 @@ def _store_run(state: PipelineState, name: str, art: LevelArtifacts, role: str) 
 # --------------------------------------------------------------------------
 
 
-def stage_data(state: PipelineState) -> list[str]:
+def stage_data(state: PipelineState) -> None:
     cfg = state.cfg
     src = cfg.dataset
     if src.kind == "spirals":
@@ -250,40 +233,31 @@ def stage_data(state: PipelineState) -> list[str]:
     else:  # pragma: no cover - config validation rejects this earlier
         raise ConfigError(f"unknown dataset kind {src.kind!r}")
 
-    (state.out / "data").mkdir(parents=True, exist_ok=True)
-    save_csv(train, state.out / "data/train.csv")
-    save_csv(test, state.out / "data/test.csv")
+    save_csv(train, state.artifact("data/train.csv"))
+    save_csv(test, state.artifact("data/test.csv"))
     subset = analysis_subset(train, RngStream(cfg.master_seed, ANALYSIS_SUBSET_STREAM))
-    (state.out / "data/analysis_indices.json").write_text(
+    state.artifact("data/analysis_indices.json").write_text(
         json.dumps([int(i) for i in subset]) + "\n", encoding="utf-8"
     )
-    save_config(cfg, state.out / "config.json")
-    return ["config.json", "data/train.csv", "data/test.csv", "data/analysis_indices.json"]
+    save_config(cfg, state.artifact("config.json"))
 
 
-def stage_dense(state: PipelineState) -> list[str]:
-    result = imp_levels(
-        state.train_ctx, state.test_ds, state.imp_cfg, 0, record_snapshots=True
-    )
+def stage_dense(state: PipelineState) -> None:
+    cfg = state.cfg.imp_config()
+    result = imp_dense(state.train_ctx, state.test_ds, cfg, record_snapshots=True)
     dense = result.levels[0]
-    artifacts = [
-        state.store_checkpoint(
-            "init", _make_checkpoint(state, result.w_init, dense.mask, 0, "init", 0)
-        ),
-        state.store_checkpoint(
-            "rewind",
-            _make_checkpoint(
-                state, result.w_rewind, dense.mask, 0, "rewind_point", state.hp.rewind_step
-            ),
-        ),
-    ] + _store_run(state, _level_name(0), dense, "minimum")
+    state.store_checkpoint("init", _make_checkpoint(state, result.w_init, dense.mask, 0, "init", 0))
+    state.store_checkpoint(
+        "rewind",
+        _make_checkpoint(state, result.w_rewind, dense.mask, 0, "rewind_point", cfg.hp.rewind_step),
+    )
+    _store_run(state, _level_name(0), dense, "minimum")
     rows = dense.record.epoch_params
-    with open(state.out / DENSE_SNAPSHOTS, "wb") as fh:  # np.save's format, without stacking
+    with open(state.artifact(DENSE_SNAPSHOTS), "wb") as fh:  # np.save's format, without stacking
         header = np.lib.format.header_data_from_array_1_0(rows[0])
         np.lib.format.write_array_header_1_0(fh, {**header, "shape": (len(rows), rows[0].size)})
         for row in rows:
             row.tofile(fh)
-    return artifacts + [DENSE_SNAPSHOTS]
 
 
 def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtifacts) -> list[list]:
@@ -303,43 +277,35 @@ def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtif
     ]
 
 
-def stage_imp(state: PipelineState) -> list[str]:
+def stage_imp(state: PipelineState) -> None:
     dense = state.checkpoint(_level_name(0))
-    record = TrainRecord(epoch_params=np.load(state._require_file(DENSE_SNAPSHOTS), mmap_mode="r"))
-    prev = LevelArtifacts(0, dense.mask, dense.params, record)
-    done = ImpResult([prev], state.checkpoint("init").params, state.checkpoint("rewind").params)
-    artifacts: list[str] = []
-
-    def persist(art: LevelArtifacts) -> None:
-        nonlocal prev
+    # only prev holds the mapped snapshots, so they are unmapped once level 1 is written
+    prev = LevelArtifacts(
+        0, dense.mask, dense.params,
+        TrainRecord(epoch_params=np.load(state._require_file(DENSE_SNAPSHOTS), mmap_mode="r")),
+    )
+    w_rewind = state.checkpoint("rewind").params
+    cfg = state.cfg.imp_config()
+    for art in imp_levels(
+        state.train_ctx, state.test_ds, cfg, prev, w_rewind, record_snapshots=True
+    ):
         name = _level_name(art.level)
-        artifacts.extend(_store_run(state, name, art, "minimum"))
-        rel = f"metrics/trajectory_{name}.csv"
+        _store_run(state, name, art, "minimum")
         write_csv(
-            state.out / rel,
+            state.artifact(f"metrics/trajectory_{name}.csv"),
             ["epoch", "loss_current", "loss_prev_projected"],
             _trajectory_rows(state, art, prev),
         )
-        artifacts.append(rel)
-        # only the newest level's snapshots are read again; free the rest
-        prev.record.epoch_params = None
         prev = art
 
-    imp_levels(
-        state.train_ctx, state.test_ds, state.imp_cfg, state.cfg.imp.levels,
-        done=done, on_level=persist, record_snapshots=True,
-    )
-    return artifacts
 
-
-def _variant_stage(*names: str) -> Callable[[PipelineState], list[str]]:
+def _variant_stage(*names: str) -> Callable[[PipelineState], None]:
     """A stage that trains the named rows of ``VARIANT_TABLE``, in table order."""
 
-    def stage(state: PipelineState) -> list[str]:
-        cfg = state.imp_cfg
+    def stage(state: PipelineState) -> None:
+        cfg = state.cfg.imp_config()
         target = sparsity(state.checkpoint(_level_name(cfg.levels)).mask)
         w_rewind = state.checkpoint("rewind").params
-        artifacts = []
         for variant in (v for v in VARIANT_TABLE if v.name in names):
             level = variant.source_level(cfg.levels)
             cp = state.checkpoint(_level_name(level))
@@ -347,8 +313,7 @@ def _variant_stage(*names: str) -> Callable[[PipelineState], list[str]]:
             art = variant_run(
                 state.train_ctx, state.test_ds, cfg, variant, source, w_rewind, target
             )
-            artifacts += _store_run(state, variant.name, art, f"variant:{variant.name}")
-        return artifacts
+            _store_run(state, variant.name, art, f"variant:{variant.name}")
 
     return stage
 
@@ -360,7 +325,7 @@ def _point_names(state: PipelineState) -> list[str]:
     return names
 
 
-def stage_metrics(state: PipelineState) -> list[str]:
+def stage_metrics(state: PipelineState) -> None:
     actx = state.analysis_ctx
     rows = []
     for name in _point_names(state):
@@ -376,50 +341,37 @@ def stage_metrics(state: PipelineState) -> list[str]:
                 _refs(name),
             ]
         )
-    artifacts = ["analysis/level_summary.csv"]
     write_csv(
-        state.out / artifacts[0],
+        state.artifact("analysis/level_summary.csv"),
         ["name", "level", "sparsity", "train_loss", "analysis_loss", "test_accuracy", "checkpoint"],
         rows,
     )
-    if state.cfg.imp.levels > 0:
-        # immediate post-prune loss increase, before any retraining
-        prev = state.checkpoint(_level_name(state.cfg.imp.levels - 1))
-        prunable = prunable_coords(state.spec)
-        frac = state.cfg.imp.prune_fraction_per_round
-        magnitude = magnitude_mask(
-            prev.params, prev.mask, frac, prunable,
-            ranking_slices(state.spec, state.cfg.imp.per_layer),
-        )
+    levels = state.cfg.imp.levels
+    if levels > 0:
+        # immediate post-prune loss increase, before any retraining; IMP's
+        # magnitude round from level L-1 is level L's mask
+        prev_name = _level_name(levels - 1)
+        prev = state.checkpoint(prev_name)
         rand = random_mask(
             prev.mask,
-            frac,
+            state.cfg.imp.prune_fraction_per_round,
             RngStream(state.cfg.master_seed, RANDOM_MASK_STREAM).derive(3),
-            prunable,
+            prunable_coords(state.spec),
         )
+        magnitude = state.checkpoint(_level_name(levels)).mask
         before = actx.loss(prev.params, prev.mask)
         impact_rows = []
         for strategy, mask in (("magnitude", magnitude), ("random", rand)):
             after = actx.loss(project(prev.params, mask), mask)
-            impact_rows.append(
-                [
-                    strategy,
-                    before,
-                    after,
-                    after - before,
-                    _refs(_level_name(state.cfg.imp.levels - 1)),
-                ]
-            )
+            impact_rows.append([strategy, before, after, after - before, _refs(prev_name)])
         write_csv(
-            state.out / "analysis/prune_impact.csv",
+            state.artifact("analysis/prune_impact.csv"),
             ["strategy", "loss_before", "loss_after", "delta", "checkpoint"],
             impact_rows,
         )
-        artifacts.append("analysis/prune_impact.csv")
-    return artifacts
 
 
-def stage_distances(state: PipelineState) -> list[str]:
+def stage_distances(state: PipelineState) -> None:
     w_rewind = state.checkpoint("rewind").params
     rows = []
     for level in range(1, state.cfg.imp.levels + 1):
@@ -436,11 +388,10 @@ def stage_distances(state: PipelineState) -> list[str]:
             ]
         )
     write_csv(
-        state.out / "analysis/rewind_distances.csv",
+        state.artifact("analysis/rewind_distances.csv"),
         ["level", "dist_projected_prev", "dist_min", "checkpoints"],
         rows,
     )
-    return ["analysis/rewind_distances.csv"]
 
 
 def _eigen_points(state: PipelineState) -> list[tuple[str, np.ndarray, np.ndarray, str]]:
@@ -469,7 +420,7 @@ def _eigen_points(state: PipelineState) -> list[tuple[str, np.ndarray, np.ndarra
     return points
 
 
-def stage_eigen(state: PipelineState) -> list[str]:
+def stage_eigen(state: PipelineState) -> None:
     actx = state.analysis_ctx
     k = state.cfg.analysis.k
     base = RngStream(state.cfg.master_seed, EIGEN_STREAM)
@@ -495,26 +446,19 @@ def stage_eigen(state: PipelineState) -> list[str]:
             "lanczos_iters": report.lanczos_iters,
         }
     write_csv(
-        state.out / "analysis/eigen_values.csv",
+        state.artifact("analysis/eigen_values.csv"),
         ["name", "rank", "eigenvalue"],
         value_rows,
     )
     write_csv(
-        state.out / "analysis/eigen_summary.csv",
+        state.artifact("analysis/eigen_summary.csv"),
         ["name", "n_positive", "vprime", "active_dims", "checkpoints"],
         summary_rows,
     )
-    (state.out / "analysis/eigen_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return [
-        "analysis/eigen_values.csv",
-        "analysis/eigen_summary.csv",
-        "analysis/eigen_meta.json",
-    ]
+    write_json(state.artifact("analysis/eigen_meta.json"), meta)
 
 
-def stage_radius(state: PipelineState) -> list[str]:
+def stage_radius(state: PipelineState) -> None:
     levels = state.cfg.imp.levels
     actx = state.analysis_ctx
     n_dir = state.cfg.analysis.n_directions
@@ -537,23 +481,20 @@ def stage_radius(state: PipelineState) -> list[str]:
         ("prev_min", prev.params, prev.mask, cut_rev, _refs(prev_name)),
         ("prev_reverse_final", rpr_final, prev.mask, cut_rev, _refs(final_name, prev_name)),
     ]
-    artifacts = []
     summary_rows = []
     meta = {"n_directions": n_dir, "profiles": {}}
     for index, (name, params, mask, cutoff, source) in enumerate(profiles):
         profile = landscape.mc_radius_profile(
             actx, params, mask, n_dir, cutoff, base.derive(index)
         )
-        rel = f"analysis/radius_{name}.csv"
         write_csv(
-            state.out / rel,
+            state.artifact(f"analysis/radius_{name}.csv"),
             ["direction", "radius", "censored"],
             [
                 [i, float(r) if math.isfinite(r) else "inf", bool(not math.isfinite(r))]
                 for i, r in enumerate(profile.radii)
             ],
         )
-        artifacts.append(rel)
         active = int(mask.sum())
         summary_rows.append(
             [
@@ -569,14 +510,11 @@ def stage_radius(state: PipelineState) -> list[str]:
         )
         meta["profiles"][name] = {"cutoff": cutoff, "n_censored": profile.n_censored}
     write_csv(
-        state.out / "analysis/radius_summary.csv",
+        state.artifact("analysis/radius_summary.csv"),
         ["name", "cutoff", "center_loss", "mean_radius", "n_censored", "log_volume", "active_dims", "checkpoints"],
         summary_rows,
     )
-    (state.out / "analysis/radius_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return artifacts + ["analysis/radius_summary.csv", "analysis/radius_meta.json"]
+    write_json(state.artifact("analysis/radius_meta.json"), meta)
 
 
 def _interp_pairs(state: PipelineState) -> list[tuple[str, str, str]]:
@@ -590,22 +528,19 @@ def _interp_pairs(state: PipelineState) -> list[tuple[str, str, str]]:
     return pairs
 
 
-def stage_interp(state: PipelineState) -> list[str]:
+def stage_interp(state: PipelineState) -> None:
     actx = state.analysis_ctx
     n_points = state.cfg.analysis.interp_points
-    artifacts = []
     summary_rows = []
     for name, a, b in _interp_pairs(state):
         cp_a = state.checkpoint(a)
         cp_b = state.checkpoint(b)
         curve = landscape.interpolate_losses(actx, cp_a.params, cp_b.params, n_points=n_points)
-        rel = f"analysis/{name}.csv"
         write_csv(
-            state.out / rel,
+            state.artifact(f"analysis/{name}.csv"),
             ["alpha", "loss"],
             [[float(al), float(l)] for al, l in zip(curve.alphas, curve.losses)],
         )
-        artifacts.append(rel)
         barrier = landscape.barrier_height(curve)
         summary_rows.append(
             [
@@ -620,14 +555,13 @@ def stage_interp(state: PipelineState) -> list[str]:
             ]
         )
     write_csv(
-        state.out / "analysis/interp_summary.csv",
+        state.artifact("analysis/interp_summary.csv"),
         ["name", "endpoint_a", "endpoint_b", "barrier_height", "barrier_alpha", "loss_a", "loss_b", "checkpoints"],
         summary_rows,
     )
-    return artifacts + ["analysis/interp_summary.csv"]
 
 
-def stage_surface(state: PipelineState) -> list[str]:
+def stage_surface(state: PipelineState) -> None:
     levels = state.cfg.imp.levels
     actx = state.analysis_ctx
     a = state.cfg.analysis
@@ -662,22 +596,21 @@ def stage_surface(state: PipelineState) -> list[str]:
                 ]
             )
     write_csv(
-        state.out / "analysis/surface_grid.csv",
+        state.artifact("analysis/surface_grid.csv"),
         ["row", "col", "x", "y", "loss", "clipped"],
         cell_rows,
     )
     write_csv(
-        state.out / "analysis/surface_points.csv",
+        state.artifact("analysis/surface_points.csv"),
         ["name", "x", "y", "loss", "projection_residual", "checkpoint"],
         [
             [p.name, p.x, p.y, p.loss, p.projection_residual, _refs(p.name)]
             for p in grid.points
         ],
     )
-    return ["analysis/surface_grid.csv", "analysis/surface_points.csv"]
 
 
-def stage_geometry(state: PipelineState) -> list[str]:
+def stage_geometry(state: PipelineState) -> None:
     levels = state.cfg.imp.levels
     names = [_level_name(level) for level in range(levels + 1)]
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
@@ -691,14 +624,13 @@ def stage_geometry(state: PipelineState) -> list[str]:
         euclid, cosine = landscape.geometry(cp_a.params, cp_b.params)
         rows.append([a, b, euclid, cosine, _refs(a, b)])
     write_csv(
-        state.out / "analysis/geometry.csv",
+        state.artifact("analysis/geometry.csv"),
         ["point_a", "point_b", "euclidean", "cosine", "checkpoints"],
         rows,
     )
-    return ["analysis/geometry.csv"]
 
 
-def stage_taylor(state: PipelineState) -> list[str]:
+def stage_taylor(state: PipelineState) -> None:
     actx = state.analysis_ctx
     prunable = prunable_coords(state.spec)
     stream = RngStream(state.cfg.master_seed, TAYLOR_STREAM)
@@ -734,21 +666,21 @@ def stage_taylor(state: PipelineState) -> list[str]:
                 ]
             )
     write_csv(
-        state.out / "analysis/taylor.csv",
+        state.artifact("analysis/taylor.csv"),
         ["base", "variant", "pruned_count", "predicted_delta", "actual_delta", "abs_error", "checkpoint"],
         rows,
     )
-    return ["analysis/taylor.csv"]
 
 
-def stage_plots(state: PipelineState) -> list[str]:
-    return emit_plots(state.out)
+def stage_plots(state: PipelineState) -> None:
+    for rel in emit_plots(state.out):  # written by emit_plots, recorded here
+        state.artifact(rel)
 
 
 @dataclass(frozen=True)
 class Stage:
     name: str
-    func: Callable[[PipelineState], list[str]]
+    func: Callable[[PipelineState], None]
     reads: tuple[str, ...] = ()  # stages whose artifacts this one reads
     needs_levels: bool = False  # skipped (no artifacts) when imp.levels == 0
 
@@ -849,10 +781,11 @@ def run_pipeline(
         name = stage.name
         if name not in wanted or _intact(out, manifest, name):
             continue
-        skipped = stage.needs_levels and cfg.imp.levels == 0
-        artifacts = [] if skipped else _STAGE_FUNCS[name](state)
-        manifest["stages"][name] = sorted(artifacts)
-        for rel in artifacts:
+        state.written.clear()
+        if not (stage.needs_levels and cfg.imp.levels == 0):
+            _STAGE_FUNCS[name](state)
+        manifest["stages"][name] = sorted(state.written)
+        for rel in manifest["stages"][name]:
             manifest["hashes"][rel] = _sha256(out / rel)
         manifest["complete"] = [s for s in STAGES if s == name or s in manifest["complete"]]
         write_manifest(out, manifest)

@@ -45,13 +45,18 @@ def read_csv_dicts(path) -> list[dict[str, str]]:
     return [dict(zip(header, row)) for row in rows]
 
 
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with sorted keys, indented by 2, and a final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def write_manifest(out: Path, manifest: dict) -> None:
     """Write the manifest atomically: a temp file in ``out``, then a rename.
     A killed process leaves the previous or the new manifest, never a
     prefix, and a write that raises also removes the temp file."""
     tmp = out / f".{MANIFEST_NAME}.tmp"
     try:
-        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(tmp, manifest)
         os.replace(tmp, out / MANIFEST_NAME)
     finally:
         tmp.unlink(missing_ok=True)

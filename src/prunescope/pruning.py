@@ -9,13 +9,15 @@ MaskExhaustedError. The IMP loop supports the four retraining strategies
 (weight rewinding, learning-rate rewinding, fine-tuning, random
 re-initialization).
 
-The comparison runs are rows of ``VARIANT_TABLE``: each is the IMP retrain
-step with a fixed source level (0 or L-1), mask rule, strategy and seed
-keys, and :func:`variant_run` trains any of them.
+The retrain step prunes a trained level by one mask rule and retrains it.
+:func:`imp_levels` takes it once per level, and the comparison runs are rows
+of ``VARIANT_TABLE``, each the same step with a fixed source level (0 or
+L-1), mask rule, strategy and seed keys, which :func:`variant_run` trains.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -76,12 +78,11 @@ class LevelArtifacts:
 
 @dataclass
 class ImpResult:
-    """Per-level artifacts plus the dense run's init and rewind vectors
-    (the rewind vector is None until level 0 is trained)."""
+    """Per-level artifacts plus the dense run's init and rewind vectors."""
 
     levels: list[LevelArtifacts]
     w_init: np.ndarray
-    w_rewind: np.ndarray | None
+    w_rewind: np.ndarray
 
 
 def sparsity(m: np.ndarray) -> float:
@@ -251,71 +252,10 @@ def retrain_plan(
     return apply_mask(fresh, mask), hp, 0
 
 
-def imp_levels(
-    ctx: LossContext,
-    test: Dataset,
-    cfg: ImpConfig,
-    through: int,
-    done: ImpResult | None = None,
-    on_level=None,
-    record_snapshots: bool = False,
-) -> ImpResult:
-    """The IMP loop: train every level after those in ``done`` up to ``through``.
-
-    Level 0 trains the dense network from a fresh initialization and captures
-    the rewind point. Each later level prunes the previous solution's mask by
-    one round and retrains according to the configured strategy; a round
-    that prunes nothing raises MaskExhaustedError naming the level.
-    ``on_level`` (if given) is called with each finished LevelArtifacts,
-    which is how the pipeline persists checkpoints as they appear. A
-    DivergenceError carries the level it happened at.
-    """
-    prunable = prunable_coords(ctx.spec)
-    slices = ranking_slices(ctx.spec, cfg.per_layer)
-    if done is None:
-        done = ImpResult([], init_params(ctx.spec, RngStream(cfg.hp.seed, INIT_STREAM)), None)
-    result = ImpResult(list(done.levels), done.w_init, done.w_rewind)
-
-    for level in range(len(result.levels), through + 1):
-        if level == 0:
-            mask = dense_mask(ctx.spec)
-            start, hp, offset = result.w_init, level_hp(cfg.hp, 0), 0
-        else:
-            prev = result.levels[-1]
-            try:
-                mask = magnitude_mask(
-                    prev.solution, prev.mask, cfg.prune_fraction_per_round,
-                    prunable, layer_slices=slices,
-                )
-            except MaskExhaustedError as exc:
-                raise MaskExhaustedError(f"IMP level {level}: {exc}") from exc
-            start, hp, offset = retrain_plan(
-                cfg, level, level, mask, prev.solution, result.w_rewind, ctx
-            )
-        try:
-            final, rewind, record = train(
-                ctx, test, start, mask, hp,
-                schedule_offset=offset, record_snapshots=record_snapshots,
-            )
-        except DivergenceError as exc:
-            exc.level = level
-            raise
-        if level == 0:
-            result.w_rewind = rewind
-        result.levels.append(LevelArtifacts(level, mask, final, record))
-        if on_level is not None:
-            on_level(result.levels[-1])
-    return result
-
-
-def imp_run(ctx: LossContext, test: Dataset, cfg: ImpConfig) -> ImpResult:
-    """Dense training followed by ``cfg.levels`` prune/retrain rounds."""
-    return imp_levels(ctx, test, cfg, cfg.levels)
-
-
 @dataclass(frozen=True)
 class Variant:
-    """One comparison run: the IMP retrain step with fixed choices.
+    """One retrain step with fixed choices: a comparison run, or an IMP level
+    as :func:`imp_levels` builds it.
 
     ``from_dense`` sources level 0, otherwise level L-1. ``rule`` is
     "magnitude" or "random" (drawn from ``RANDOM_MASK_STREAM`` derived by
@@ -347,6 +287,39 @@ VARIANT_TABLE = (
 )
 
 
+def _retrain(
+    ctx: LossContext,
+    test: Dataset,
+    cfg: ImpConfig,
+    step: Variant,
+    source: LevelArtifacts,
+    w_rewind: np.ndarray,
+    target_sparsity: float | None,
+    record_snapshots: bool = False,
+) -> LevelArtifacts:
+    """The retrain step: prune ``source`` by the step's mask rule, then train
+    from :func:`retrain_plan`'s start. The result's level is the source's + 1."""
+    prunable = prunable_coords(ctx.spec)
+    fraction = None if step.to_target else cfg.prune_fraction_per_round
+    target = target_sparsity if step.to_target else None
+    slices = None if step.to_target else ranking_slices(ctx.spec, cfg.per_layer)
+    if step.rule == "magnitude":
+        mask = magnitude_mask(
+            source.solution, source.mask, fraction, prunable, slices, target_sparsity=target
+        )
+    else:
+        rng = RngStream(cfg.hp.seed, RANDOM_MASK_STREAM).derive(step.mask_key)
+        mask = random_mask(source.mask, fraction, rng, prunable, target_sparsity=target)
+    start, hp, offset = retrain_plan(
+        replace(cfg, strategy=step.strategy), step.seed_key, step.init_key,
+        mask, source.solution, w_rewind, ctx,
+    )
+    final, _, record = train(
+        ctx, test, start, mask, hp, schedule_offset=offset, record_snapshots=record_snapshots
+    )
+    return LevelArtifacts(source.level + 1, mask, final, record)
+
+
 def variant_run(
     ctx: LossContext,
     test: Dataset,
@@ -364,20 +337,58 @@ def variant_run(
     ``target_sparsity`` (level L's) and always ranks globally. The result's
     level is the source's + 1.
     """
-    prunable = prunable_coords(ctx.spec)
-    fraction = None if variant.to_target else cfg.prune_fraction_per_round
-    target = target_sparsity if variant.to_target else None
-    slices = None if variant.to_target else ranking_slices(ctx.spec, cfg.per_layer)
-    if variant.rule == "magnitude":
-        mask = magnitude_mask(
-            source.solution, source.mask, fraction, prunable, slices, target_sparsity=target
+    return _retrain(ctx, test, cfg, variant, source, w_rewind, target_sparsity)
+
+
+def imp_dense(
+    ctx: LossContext, test: Dataset, cfg: ImpConfig, record_snapshots: bool = False
+) -> ImpResult:
+    """IMP level 0: train the dense network from a fresh initialization.
+
+    The result holds level 0 and the init and rewind vectors. A
+    DivergenceError carries level 0.
+    """
+    w_init = init_params(ctx.spec, RngStream(cfg.hp.seed, INIT_STREAM))
+    mask = dense_mask(ctx.spec)
+    try:
+        final, w_rewind, record = train(
+            ctx, test, w_init, mask, level_hp(cfg.hp, 0), record_snapshots=record_snapshots
         )
-    else:
-        rng = RngStream(cfg.hp.seed, RANDOM_MASK_STREAM).derive(variant.mask_key)
-        mask = random_mask(source.mask, fraction, rng, prunable, target_sparsity=target)
-    start, hp, offset = retrain_plan(
-        replace(cfg, strategy=variant.strategy), variant.seed_key, variant.init_key,
-        mask, source.solution, w_rewind, ctx,
-    )
-    final, _, record = train(ctx, test, start, mask, hp, schedule_offset=offset)
-    return LevelArtifacts(source.level + 1, mask, final, record)
+    except DivergenceError as exc:
+        exc.level = 0
+        raise
+    return ImpResult([LevelArtifacts(0, mask, final, record)], w_init, w_rewind)
+
+
+def imp_levels(
+    ctx: LossContext,
+    test: Dataset,
+    cfg: ImpConfig,
+    prev: LevelArtifacts,
+    w_rewind: np.ndarray,
+    record_snapshots: bool = False,
+) -> Iterator[LevelArtifacts]:
+    """Yield IMP levels ``prev.level + 1`` through ``cfg.levels``, each as
+    soon as it is trained.
+
+    Level L is the retrain step from level L-1: one magnitude round, the
+    configured strategy, and seed keys L. A round that prunes nothing raises
+    MaskExhaustedError naming the level, and a DivergenceError carries it.
+    """
+    for level in range(prev.level + 1, cfg.levels + 1):
+        step = Variant(f"level{level:02d}", False, "magnitude", False, cfg.strategy, level, level)
+        try:
+            prev = _retrain(ctx, test, cfg, step, prev, w_rewind, None, record_snapshots)
+        except MaskExhaustedError as exc:
+            raise MaskExhaustedError(f"IMP level {level}: {exc}") from exc
+        except DivergenceError as exc:
+            exc.level = level
+            raise
+        yield prev
+
+
+def imp_run(ctx: LossContext, test: Dataset, cfg: ImpConfig) -> ImpResult:
+    """Dense training followed by ``cfg.levels`` prune/retrain rounds."""
+    result = imp_dense(ctx, test, cfg)
+    result.levels += imp_levels(ctx, test, cfg, result.levels[0], result.w_rewind)
+    return result

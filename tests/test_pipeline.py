@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,19 @@ from prunescope.experiment.pipeline import STAGE_TABLE, STAGES, PipelineState
 from prunescope.experiment.tables import read_csv_dicts, write_manifest
 
 SNAPSHOTS = "checkpoints/level00_epochs.npy"
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m prunescope.experiment.cli`` in a subprocess that imports
+    the package under test."""
+    src = str(Path(ps.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prunescope.experiment.cli", *args],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
 
 
 def small_config(master_seed=11, levels=2):
@@ -177,6 +191,13 @@ class TestStagesReadTheDisk:
         staged = load_manifest(tmp_path / "staged")["hashes"]
         assert one == staged == fresh[1]
         assert steps["per stage"] == steps["one call"]
+
+    def test_every_file_is_listed_by_one_stage(self, fresh):
+        out, hashes = fresh
+        on_disk = {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
+        assert on_disk == set(hashes) | {"manifest.json"}
+        listed = [rel for rels in load_manifest(out)["stages"].values() for rel in rels]
+        assert sorted(listed) == sorted(hashes)
 
     @pytest.mark.parametrize("damage", ["deleted", "overwritten"])
     @pytest.mark.parametrize("stage", STAGES)
@@ -385,12 +406,7 @@ class TestCli:
             )
         )
         out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-m", "prunescope.experiment.cli", "pipeline",
-             "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        result = _run_cli("pipeline", "--config", str(cfg_path), "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert (out / "manifest.json").exists()
         assert (out / "plots/surface.svg").exists()
@@ -411,21 +427,28 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"nope": 1}')
-        result = subprocess.run(
-            [sys.executable, "-m", "prunescope.experiment.cli", "pipeline",
-             "--config", str(bad), "--out", str(tmp_path / "x")],
-            capture_output=True,
-            text=True,
-        )
+        result = _run_cli("pipeline", "--config", str(bad), "--out", str(tmp_path / "x"))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("imp", {"prune_fraction_per_round": 1.5}),
+            ("imp", {"levels": -1}),
+            ("training", {"lr0": -1}),
+            ("training", {"epochs": 60, "decay_epochs": [30, 60]}),
+        ],
+    )
+    def test_bad_training_or_imp_value_exit_code(self, tmp_path, capsys, section, values):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: values}))
+        out = tmp_path / "out"
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_plot_missing_artifacts_exit_code(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "prunescope.experiment.cli", "plot",
-             "--out", str(tmp_path / "void")],
-            capture_output=True,
-            text=True,
-        )
+        result = _run_cli("plot", "--out", str(tmp_path / "void"))
         assert result.returncode == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
@@ -444,10 +467,5 @@ class TestCli:
                 }
             )
         )
-        result = subprocess.run(
-            [sys.executable, "-m", "prunescope.experiment.cli", "train",
-             "--config", str(cfg_path), "--out", str(tmp_path / "dv")],
-            capture_output=True,
-            text=True,
-        )
+        result = _run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "dv"))
         assert result.returncode == 3, result.stderr

@@ -242,14 +242,15 @@ class TestImpRun:
         spec, ctx, test_ds = _small_problem(11)
         cfg = _small_cfg(levels=3, seed=4)
         whole = ps.imp_run(ctx, test_ds, cfg)
-        seen = []
-        first = ps.imp_levels(ctx, test_ds, cfg, 1)
-        rest = ps.imp_levels(
-            ctx, test_ds, cfg, 3, done=first, on_level=lambda art: seen.append(art.level)
-        )
-        assert seen == [2, 3]
-        np.testing.assert_array_equal(rest.w_rewind, whole.w_rewind)
-        for la, lb in zip(rest.levels, whole.levels, strict=True):
+        # level 1 rebuilt from its vectors alone, as the pipeline rebuilds it from disk
+        one = whole.levels[1]
+        start = ps.LevelArtifacts(1, one.mask.copy(), one.solution.copy(), ps.TrainRecord())
+        levels = ps.imp_levels(ctx, test_ds, cfg, start, whole.w_rewind.copy())
+        rest = [next(levels)]  # each level is yielded as soon as it is trained
+        assert rest[0].level == 2
+        rest += levels
+        assert [art.level for art in rest] == [2, 3]
+        for la, lb in zip(rest, whole.levels[2:], strict=True):
             np.testing.assert_array_equal(la.mask, lb.mask)
             np.testing.assert_array_equal(la.solution, lb.solution)
 
