@@ -3,17 +3,24 @@ gradient and exact Hessian-vector products.
 
 :class:`LossContext` fixes an architecture and a data slice, which makes the
 loss a pure function of the parameter vector. Its ``loss``, ``grad`` and
-``hvp`` methods are the protocol every landscape probe consumes; they call
-this module's :func:`forward_loss`, :func:`grad` and :func:`hvp`, looked up
-as module globals at call time, so rebinding one of those counts or times
-every evaluation made through a context.
+``hvp_at`` methods are the protocol every landscape probe consumes; they
+call this module's :func:`forward_loss`, :func:`grad` and :func:`hvp`,
+looked up as module globals at call time, so rebinding one of those counts
+or times every evaluation made through a context.
 
 The network is a fixed chain of (W, b) layers, so differentiation is written
 out as straight-line passes over it. One forward pass keeps each layer's
-input and pre-activation; the gradient walks the layers backward once.
-Hessian-vector products use the classic R-operator trick: push a tangent
-through the forward pass, then run the backward pass together with its
-tangent, which yields H @ v without ever materializing H.
+input and pre-activation; one backward pass turns the logits' adjoint into
+each layer's adjoint ``dz``, and the gradient is ``dz.T @ input`` per layer.
+Hessian-vector products use the R-operator (Pearlmutter, 1994): push a
+tangent through the forward pass, then run the backward pass's tangent
+against the plain adjoints, which yields H @ v without ever materializing H.
+
+Everything a product reads that does not depend on v (the masked layers,
+layer inputs, ReLU gates, softmax probabilities and plain adjoints) is the
+state of the point (w, mask). :class:`HessianAt` computes it at its first
+product and keeps it, so a Lanczos or Hutchinson loop at one point runs the
+forward pass once; a one-off :func:`hvp` builds the same state for itself.
 
 Two conventions worth knowing:
 
@@ -23,15 +30,16 @@ Two conventions worth knowing:
   convention), so HVPs are exact away from kinks.
 
 Training calls :func:`grad` once per SGD step, so the passes run as bare
-numpy. Layers are views of the masked vector through the spec's cached
-layout (:func:`~prunescope.model.split_params`); ``grad`` and ``hvp`` write
-each layer's result into its view of one flat output vector and mask that
-vector in place. Each in-place operation computes the same expression, with
-the same operands in the same order, as the plain form (``a @ W.T + b``,
-``(dz @ W) * gate``, ...), and each matmul keeps its operand layout (a
-copied, contiguous ``W.T`` rounds differently). Floating-point results
-depend on both, so this keeps every gradient, and with it every trained
-weight and artifact, bit for bit what the plain expressions give.
+numpy, and a run passes one :class:`Workspace` to every step: the masked
+weights, the activations, gates, adjoints and the gradient are written into
+its buffers instead of being allocated. Layers are views of a flat vector
+through the spec's cached layout (:func:`~prunescope.model.split_params`).
+Each in-place operation computes the same expression, with the same operands
+in the same order, as the plain form (``a @ W.T + b``, ``(dz @ W) * gate``,
+...), and each matmul keeps its operand layout (a copied, contiguous ``W.T``
+rounds differently). Floating-point results depend on both, so this keeps
+every gradient, and with it every trained weight and artifact, bit for bit
+what the plain expressions give.
 """
 
 from __future__ import annotations
@@ -102,17 +110,79 @@ class LossContext:
         """Mean softmax cross-entropy of the masked network over the slice."""
         return forward_loss(self, w, mask)
 
-    def grad(self, w: np.ndarray, mask: np.ndarray) -> GradResult:
-        return grad(self, w, mask)
+    def grad(
+        self, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None
+    ) -> GradResult:
+        return grad(self, w, mask, workspace)
 
     def hvp(self, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
         return hvp(self, w, mask, v)
+
+    def hvp_at(self, w: np.ndarray, mask: np.ndarray) -> HessianAt:
+        """The operator v -> H v at (w, mask); its products share one forward pass."""
+        return HessianAt(self, w, mask)
 
 
 @dataclass(frozen=True)
 class GradResult:
     loss: float
     gradient: np.ndarray
+
+
+class Workspace:
+    """The arrays one run of gradient steps reuses, for one spec and one mask.
+
+    It holds the masked weights and the gradient, each with its layer views,
+    and per batch size each layer's pre-activation, hidden activation, ReLU
+    gate and adjoint, and the flat offset of each row's first logit (the
+    label offsets). A training run meets at most two batch sizes: its own and
+    the epoch's short last batch. :func:`grad` returns ``gradient`` itself,
+    so the next call with the same workspace overwrites the result.
+
+    ``keep`` is the bool ``mask`` as 0.0/1.0 floats. Multiplying by it
+    rounds exactly as multiplying by the mask, since numpy casts the bools
+    to those floats, but skips that cast: about 3x faster on a 17k vector.
+    """
+
+    def __init__(self, spec: NetworkSpec, mask: np.ndarray):
+        self.spec = spec
+        self.mask = np.asarray(mask, dtype=bool)
+        if self.mask.shape != (spec.param_count,):
+            raise DimensionMismatchError(
+                f"mask length {self.mask.shape}, spec needs {spec.param_count}"
+            )
+        self.keep = self.mask.astype(np.float64)
+        self.weights = np.empty(spec.param_count)
+        self.layers = split_params(spec, self.weights)
+        self.gradient = np.empty(spec.param_count)
+        self.grads = split_params(spec, self.gradient)
+        self._rows: dict[int, _RowBuffers] = {}
+
+    def masked_layers(self, w: np.ndarray) -> list:
+        """The layers of ``mask * w``, written into ``weights``."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != self.weights.shape:
+            raise DimensionMismatchError(f"mask length {self.weights.shape} != params {w.shape}")
+        np.multiply(w, self.keep, out=self.weights)
+        return self.layers
+
+    def rows(self, n: int) -> _RowBuffers:
+        buffers = self._rows.get(n)
+        if buffers is None:
+            buffers = self._rows[n] = _RowBuffers(self.spec, n)
+        return buffers
+
+
+class _RowBuffers:
+    """A workspace's per-layer arrays for batches of ``n`` rows."""
+
+    def __init__(self, spec: NetworkSpec, n: int):
+        widths = spec.layer_sizes[1:]
+        self.pre = [np.empty((n, k)) for k in widths]
+        self.act = [np.empty((n, k)) for k in widths[:-1]]
+        self.gates = [np.empty((n, k), dtype=bool) for k in widths[:-1]]
+        self.adjoints = [np.empty((n, k)) for k in widths[:-1]]
+        self.offsets = np.arange(n) * spec.output_size
 
 
 def _check_finite(x: np.ndarray, node: str) -> None:
@@ -123,28 +193,31 @@ def _check_finite(x: np.ndarray, node: str) -> None:
         raise NumericalFailureError(f"non-finite value produced by node {node}")
 
 
-def _forward(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
-    """Masked layers, each layer's input, and each layer's pre-activation.
+def _forward(ctx: LossContext, layers, rows: _RowBuffers | None = None):
+    """Each layer's input and pre-activation, written into ``rows`` if given.
 
     The last pre-activation is the logits; hidden layers apply ReLU.
     """
-    layers = split_params(ctx.spec, apply_mask(w, mask))
     inputs: list[np.ndarray] = []
     pre: list[np.ndarray] = []
     a = ctx.features
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        z = a @ W.T
+        z = np.matmul(a, W.T, out=None if rows is None else rows.pre[i])
         z += b
         _check_finite(z, f"affine[{i}]")
         inputs.append(a)
         pre.append(z)
         if i < last:
-            a = np.maximum(z, 0.0)
-    return layers, inputs, pre
+            a = np.maximum(z, 0.0, out=None if rows is None else rows.act[i])
+    return inputs, pre
 
 
-def _softmax_ce(ctx: LossContext, logits: np.ndarray) -> tuple[float, np.ndarray]:
+def _masked_layers(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
+    return split_params(ctx.spec, apply_mask(w, mask))
+
+
+def _softmax_ce(logits: np.ndarray, label_index: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and the per-row log-sum-exp of the logits.
 
     Callers that need the softmax probabilities form ``exp(logits - lse)``.
@@ -155,8 +228,8 @@ def _softmax_ce(ctx: LossContext, logits: np.ndarray) -> tuple[float, np.ndarray
     lse = np.add.reduce(shifted, axis=1, keepdims=True)
     np.log(lse, out=lse)
     lse += zmax
-    per_sample = lse[:, 0] - logits.ravel()[ctx.label_index]
-    loss = float(per_sample.sum() / ctx.n)  # what per_sample.mean() computes
+    per_sample = lse[:, 0] - logits.ravel()[label_index]
+    loss = float(per_sample.sum() / logits.shape[0])  # what per_sample.mean() computes
     if not math.isfinite(loss):
         raise NumericalFailureError("non-finite value produced by node softmax_ce")
     return loss, lse
@@ -167,21 +240,36 @@ def _probs(logits: np.ndarray, lse: np.ndarray) -> np.ndarray:
     return np.exp(probs, out=probs)
 
 
-def _to_ce_adjoint(ctx: LossContext, probs: np.ndarray) -> np.ndarray:
+def _to_ce_adjoint(probs: np.ndarray, label_index: np.ndarray) -> np.ndarray:
     """Turn softmax probabilities, in place, into d(mean cross-entropy)/d(logits)
     = (probs - onehot) / n."""
-    probs.ravel()[ctx.label_index] -= 1.0
-    probs /= ctx.n
+    probs.ravel()[label_index] -= 1.0
+    probs /= probs.shape[0]
     return probs
 
 
+def _adjoints(layers, gates, dz: np.ndarray, rows: _RowBuffers | None = None) -> list:
+    """Every layer's adjoint d(loss)/d(pre-activation), first layer first.
+
+    ``dz`` is the logits' adjoint; each layer below is ``(dz @ W) * gate``,
+    written into ``rows`` if given.
+    """
+    adjoints = [dz]
+    for i in range(len(layers) - 1, 0, -1):
+        dz = np.matmul(dz, layers[i][0], out=None if rows is None else rows.adjoints[i - 1])
+        dz *= gates[i - 1]
+        adjoints.append(dz)
+    adjoints.reverse()
+    return adjoints
+
+
 def forward_loss(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> float:
-    _, _, pre = _forward(ctx, w, mask)
-    return _softmax_ce(ctx, pre[-1])[0]
+    _, pre = _forward(ctx, _masked_layers(ctx, w, mask))
+    return _softmax_ce(pre[-1], ctx.label_index)[0]
 
 
 def forward_logits(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    _, _, pre = _forward(ctx, w, mask)
+    _, pre = _forward(ctx, _masked_layers(ctx, w, mask))
     return pre[-1]
 
 
@@ -194,72 +282,132 @@ def accuracy_on(ctx: LossContext, w: np.ndarray, m: np.ndarray) -> float:
     return float(np.mean(predictions == ctx.labels))
 
 
-def grad(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> GradResult:
-    """Loss and exact gradient at ``mask * w``, zeroed on masked coordinates."""
-    mask = np.asarray(mask, dtype=bool)
-    layers, inputs, pre = _forward(ctx, w, mask)
-    loss, lse = _softmax_ce(ctx, pre[-1])
-    dz = _to_ce_adjoint(ctx, _probs(pre[-1], lse))
-    flat = np.empty(mask.shape)
-    out = split_params(ctx.spec, flat)
-    for i in range(len(layers) - 1, -1, -1):
-        gW, gb = out[i]
-        np.matmul(dz.T, inputs[i], out=gW)
-        np.add.reduce(dz, axis=0, out=gb)
-        if i > 0:
-            dz = dz @ layers[i][0]
-            dz *= pre[i - 1] > 0.0
-    flat *= mask
-    return GradResult(loss, flat)
+def grad(
+    ctx: LossContext, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None
+) -> GradResult:
+    """Loss and exact gradient at ``mask * w``, zeroed on masked coordinates.
+
+    The passes write into ``workspace``, which must have been built for this
+    very ``mask`` object, and whose ``gradient`` is the returned vector;
+    without one the call builds its own.
+    """
+    ws = Workspace(ctx.spec, mask) if workspace is None else workspace
+    if workspace is not None and mask is not ws.mask:
+        raise ValueError("the workspace was built for another mask")
+    rows = ws.rows(ctx.n)
+    layers = ws.masked_layers(w)
+    inputs, pre = _forward(ctx, layers, rows)
+    label_index = rows.offsets + ctx.labels
+    loss, lse = _softmax_ce(pre[-1], label_index)
+    gates = [np.greater(z, 0.0, out=g) for z, g in zip(pre, rows.gates)]
+    dz = _to_ce_adjoint(_probs(pre[-1], lse), label_index)
+    for (gW, gb), adjoint, a in zip(ws.grads, _adjoints(layers, gates, dz, rows), inputs):
+        np.matmul(adjoint.T, a, out=gW)
+        np.add.reduce(adjoint, axis=0, out=gb)
+    ws.gradient *= ws.keep
+    return GradResult(loss, ws.gradient)
 
 
-def hvp(ctx: LossContext, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+class _Point:
+    """The state at one point (w, mask) that every Hessian-vector product
+    there reads, and the buffers its tangent passes write into."""
+
+    def __init__(self, ctx: LossContext, w: np.ndarray, mask: np.ndarray):
+        self.keep = mask.astype(np.float64)  # as in Workspace
+        self.layers = _masked_layers(ctx, w, mask)
+        self.inputs, pre = _forward(ctx, self.layers)
+        _, lse = _softmax_ce(pre[-1], ctx.label_index)
+        self.probs = _probs(pre[-1], lse)
+        self.gates = [z > 0.0 for z in pre[:-1]]
+        dz = _to_ce_adjoint(self.probs.copy(), ctx.label_index)
+        self.adjoints = _adjoints(self.layers, self.gates, dz)
+        self.zero_input = np.zeros_like(ctx.features)  # R{input} of the first layer
+        # per layer: R{pre-activation}, then R{dz} of the layer below
+        self.rz = [np.empty_like(z) for z in pre]
+        self.ra = [np.empty_like(z) for z in pre[:-1]]  # per hidden layer: R{activation}
+        self.tmp = [np.empty_like(z) for z in pre]  # per layer: a sum's second matmul
+        self.hw = [np.empty_like(W) for W, _ in self.layers]  # per layer: dz.T @ R{input}
+
+
+class HessianAt:
+    """The operator v -> H v at one point (w, mask) of a context.
+
+    Its first product runs the forward pass, the softmax head and the plain
+    backward pass and keeps the point's state; every later product reuses
+    it, so a loop of products at one point pays for one forward pass. Each
+    product goes through this module's :func:`hvp`, looked up at call time,
+    so it is counted like a one-off product, and a non-finite forward pass
+    raises at the first product. ``w`` and ``mask`` must not change before
+    that product. The state (about ten activation-sized arrays) lives as long
+    as the operator, so keep the operator in a loop's local variable.
+    """
+
+    def __init__(self, ctx: LossContext, w: np.ndarray, mask: np.ndarray):
+        self.ctx = ctx
+        self.w = w
+        self.mask = np.asarray(mask, dtype=bool)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return hvp(self.ctx, self.w, self.mask, v, self)
+
+    @functools.cached_property
+    def point(self) -> _Point:
+        return _Point(self.ctx, self.w, self.mask)
+
+
+def hvp(
+    ctx: LossContext,
+    w: np.ndarray,
+    mask: np.ndarray,
+    v: np.ndarray,
+    at: HessianAt | None = None,
+) -> np.ndarray:
     """Hessian-vector product H @ v restricted to the mask's active subspace.
 
     Equivalent to differentiating <grad(w), v>: a tangent copy of v is pushed
     through the forward pass, then through the backward pass (the R-operator),
     so the result is exact to machine precision for the piecewise-smooth loss.
+    ``at`` is the operator at (w, mask) whose point state the product reuses;
+    without one the call builds the state for itself.
     """
-    mask = np.asarray(mask, dtype=bool)
-    v = apply_mask(np.asarray(v, dtype=np.float64), mask)
-    layers, inputs, pre = _forward(ctx, w, mask)
-    _, lse = _softmax_ce(ctx, pre[-1])
-    probs = _probs(pre[-1], lse)
+    point = (HessianAt(ctx, w, mask) if at is None else at).point
+    layers, inputs, gates = point.layers, point.inputs, point.gates
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != point.keep.shape:
+        raise DimensionMismatchError(f"mask length {point.keep.shape} != vector {v.shape}")
+    v = v * point.keep
     v_layers = split_params(ctx.spec, v)
     last = len(layers) - 1
 
     # tangent forward: R{input} of every layer, ending at R{logits}
     r_inputs = []
-    ra = np.zeros_like(ctx.features)
+    ra = point.zero_input
     for i, ((W, _), (V, c)) in enumerate(zip(layers, v_layers)):
         r_inputs.append(ra)
-        rz = ra @ W.T
-        rz += inputs[i] @ V.T
+        rz = np.matmul(ra, W.T, out=point.rz[i])
+        rz += np.matmul(inputs[i], V.T, out=point.tmp[i])
         rz += c
         if i < last:
-            ra = rz * (pre[i] > 0.0)
+            ra = np.multiply(rz, gates[i], out=point.ra[i])
 
-    # combined reverse sweep: plain adjoints dz and their tangents R{dz}
+    # tangent reverse sweep R{dz}, against the point's plain adjoints dz
     # R{softmax}: p * (rz - sum(p * rz)), over n
+    probs = point.probs
     row_dot = np.add.reduce(probs * rz, axis=1, keepdims=True)
     rz -= row_dot
     rdz = np.multiply(probs, rz, out=rz)
     rdz /= ctx.n
-    dz = _to_ce_adjoint(ctx, probs)
-    flat = np.empty(mask.shape)
+    flat = np.empty(v.shape)  # a fresh result: callers keep products
     out = split_params(ctx.spec, flat)
     for i in range(last, -1, -1):
         hW, hb = out[i]
+        dz = point.adjoints[i]
         np.matmul(rdz.T, inputs[i], out=hW)
-        hW += dz.T @ r_inputs[i]
+        hW += np.matmul(dz.T, r_inputs[i], out=point.hw[i])
         np.add.reduce(rdz, axis=0, out=hb)
         if i > 0:
-            gate = pre[i - 1] > 0.0
-            W, V = layers[i][0], v_layers[i][0]
-            rdz = rdz @ W
-            rdz += dz @ V
-            rdz *= gate
-            dz = dz @ W
-            dz *= gate
-    flat *= mask
+            rdz = np.matmul(rdz, layers[i][0], out=point.rz[i - 1])
+            rdz += np.matmul(dz, v_layers[i][0], out=point.tmp[i - 1])
+            rdz *= gates[i - 1]
+    flat *= point.keep
     return flat

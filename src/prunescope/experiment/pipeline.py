@@ -244,6 +244,11 @@ def stage_data(state: PipelineState) -> None:
 
 def stage_dense(state: PipelineState) -> None:
     cfg = state.cfg.imp_config()
+    if cfg.hp.batch_size > state.train_ctx.n:
+        raise ConfigError(
+            f"training.batch_size {cfg.hp.batch_size} exceeds the "
+            f"{state.train_ctx.n} training rows"
+        )
     result = imp_dense(state.train_ctx, state.test_ds, cfg, record_snapshots=True)
     dense = result.levels[0]
     state.store_checkpoint("init", _make_checkpoint(state, result.w_init, dense.mask, 0, "init", 0))

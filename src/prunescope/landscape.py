@@ -1,9 +1,12 @@
 """Loss-landscape geometry probes around trained solutions.
 
 Everything here works through a small context protocol — ``ctx.loss(w, mask)``,
-``ctx.grad(w, mask)`` and ``ctx.hvp(w, mask, v)`` — normally provided by
-:class:`prunescope.autodiff.LossContext` over the frozen analysis subset of
-the training data. Analyses that compare a solution across sparsity levels
+``ctx.grad(w, mask)`` and ``ctx.hvp_at(w, mask)``, the operator ``v -> H v``
+at one point — normally provided by :class:`prunescope.autodiff.LossContext`
+over the frozen analysis subset of the training data. The loops that
+multiply at a fixed point (Lanczos, Hutchinson probes, the exact diagonal)
+take one operator per point, so their products share the point's forward
+pass. Analyses that compare a solution across sparsity levels
 take the mask explicitly because the Hessian, directions, and radii all live
 in the active subspace of whichever level's mask the caller chooses.
 
@@ -96,6 +99,7 @@ def top_k_eigenvalues(
     if active == 0:
         raise EmptySubspaceError("mask has no active coordinates")
     n_iter = min(max(4 * k, k + 40), active)
+    hessian = ctx.hvp_at(w, m)
 
     best: EigenReport | None = None
     for restart in range(max_restarts + 1):
@@ -108,7 +112,7 @@ def top_k_eigenvalues(
         breakdown = False
         for j in range(n_iter):
             basis[j] = q
-            z = ctx.hvp(w, m, q)
+            z = hessian(q)
             alpha = float(q @ z)
             alphas.append(alpha)
             z = z - alpha * q - beta_prev * q_prev
@@ -467,11 +471,12 @@ def hutchinson_diagonal(
     """Stochastic Hessian-diagonal estimate: mean of z * (H z) over Rademacher
     probes restricted to active coordinates."""
     m = np.asarray(m, dtype=bool)
+    hessian = ctx.hvp_at(w, m)
 
     def one(j: int) -> np.ndarray:
         gen = rng.derive(j).generator()
         z = (gen.integers(0, 2, size=m.size) * 2.0 - 1.0) * m
-        return z * ctx.hvp(w, m, z)
+        return z * hessian(z)
 
     samples = parallel_map(one, range(probes))
     return np.mean(samples, axis=0)
@@ -479,11 +484,12 @@ def hutchinson_diagonal(
 
 def exact_diagonal(ctx, w: np.ndarray, m: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Exact Hessian diagonal at the given coordinates (one HVP each)."""
+    hessian = ctx.hvp_at(w, m)
     diag = np.zeros(m.size)
     for i in coords:
         e = np.zeros(m.size)
         e[i] = 1.0
-        diag[i] = ctx.hvp(w, m, e)[i]
+        diag[i] = hessian(e)[i]
     return diag
 
 

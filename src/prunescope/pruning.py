@@ -65,6 +65,11 @@ class ImpConfig:
             raise ValueError("prune_fraction_per_round must lie in (0, 1)")
         if self.levels < 0:
             raise ValueError("levels must be nonnegative")
+        # the fine-tune run's Hyperparams would reject these mid-pipeline
+        if self.ft_epochs < 1:
+            raise ValueError("ft_epochs must be at least 1")
+        if self.ft_lr <= 0:
+            raise ValueError("ft_lr must be positive")
         object.__setattr__(self, "strategy", Strategy(self.strategy))
 
 

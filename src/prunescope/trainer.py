@@ -6,12 +6,16 @@ every update keeps pruned coordinates exactly zero. The returned record also
 carries the rewind-point snapshot that iterative pruning restarts from.
 
 Each step takes its batch through :meth:`LossContext.rows`, which skips
-re-validating rows of the already validated context, differentiates it
-through that context's ``grad``, and updates the velocity and the weights
-in place, in two preallocated buffers. The in-place form keeps the plain update's operations and their order,
-``g + wd*w``, then ``mom*v + update``, then ``w - lr*v``, then ``w *= mask``,
-because floating-point results depend on that order: reordering would change
-the trained weights, and with them every checkpoint and analysis artifact.
+re-validating rows of the already validated context, and differentiates it
+through that context's ``grad`` with one :class:`~prunescope.autodiff.Workspace`
+per run, so the step's forward and backward passes write into the same
+buffers every time. It then updates the velocity and the weights in place,
+in two preallocated buffers. The in-place form keeps the plain update's
+operations and their order, ``g + wd*w``, then ``mom*v + update``, then
+``w - lr*v``, then ``w *= mask``, because floating-point results depend on
+that order: reordering would change the trained weights, and with them every
+checkpoint and analysis artifact. The masking multiplies by the workspace's
+float copy of the mask, which rounds exactly as the bool mask does.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import LossContext, accuracy_on
+from .autodiff import LossContext, Workspace, accuracy_on
 from .data import Dataset, epoch_batches
 from .errors import DivergenceError
 from .model import apply_mask
@@ -46,6 +50,10 @@ class Hyperparams:
     seed: int
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -99,6 +107,8 @@ def train(
     (it equals the final vector when training ends first).
     """
     steps_per_epoch = math.ceil(ctx.n / hp.batch_size)
+    workspace = Workspace(ctx.spec, mask)
+    mask = workspace.mask
     w = apply_mask(start, mask)
     velocity = np.zeros_like(w)
     update = np.empty_like(w)
@@ -111,7 +121,7 @@ def train(
     for epoch in range(hp.epochs):
         loss_sum = 0.0
         for batch_idx in epoch_batches(ctx.n, hp.batch_size, epoch, shuffle):
-            result = ctx.rows(batch_idx).grad(w, mask)
+            result = ctx.rows(batch_idx).grad(w, mask, workspace)
             if not math.isfinite(result.loss) or result.loss > DIVERGENCE_CAP:
                 raise DivergenceError(
                     f"training diverged at step {step} (loss={result.loss})", step
@@ -124,7 +134,7 @@ def train(
             velocity += update
             np.multiply(velocity, lr_at(hp, schedule_offset + step, steps_per_epoch), out=update)
             w -= update
-            w *= mask  # pruned coordinates stay exactly zero
+            w *= workspace.keep  # pruned coordinates stay exactly zero
             step += 1
             loss_sum += result.loss * batch_idx.size
             if step == hp.rewind_step:

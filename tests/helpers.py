@@ -2,12 +2,14 @@
 
 The landscape module consumes any object with the evaluator protocol of
 :class:`prunescope.autodiff.LossContext`: ``loss(w, mask)``,
-``grad(w, mask)`` and ``hvp(w, mask, v)``. So analytic quadratics double as
-closed-form oracles for radii, spectra, and Taylor estimates.
+``grad(w, mask)`` and ``hvp_at(w, mask)``, the operator ``v -> H v`` at one
+point. So analytic quadratics double as closed-form oracles for radii,
+spectra, and Taylor estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +52,9 @@ class QuadraticContext:
         m = np.asarray(mask, bool)
         return (self.hessian @ (np.asarray(v) * m)) * m
 
+    def hvp_at(self, w, mask):
+        return functools.partial(self.hvp, w, mask)
+
 
 def diag_quadratic(diag) -> QuadraticContext:
     return QuadraticContext(np.diag(np.asarray(diag, dtype=np.float64)))
@@ -69,6 +74,9 @@ class FlatContext:
 
     def hvp(self, w, mask, v) -> np.ndarray:
         return np.zeros(np.asarray(v).size)
+
+    def hvp_at(self, w, mask):
+        return functools.partial(self.hvp, w, mask)
 
 
 class CountingContext:

@@ -13,6 +13,7 @@ import prunescope as ps
 from prunescope import autodiff
 from prunescope.autodiff import forward_logits
 from prunescope.errors import NumericalFailureError
+from prunescope.landscape import hutchinson_diagonal
 from prunescope.model import join_params, split_params
 
 
@@ -125,6 +126,17 @@ class TestGradOracle:
                 with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
                     evaluate()
 
+    def test_operator_raises_at_its_first_product(self):
+        spec = ps.NetworkSpec((2, 2, 2))
+        ctx = ps.LossContext(spec, np.array([[1.0, 1.0]]), np.array([0]))
+        W1 = np.array([[-1e308, -1e308], [0.5, 0.5]])
+        w = join_params(spec, [(W1, np.zeros(2)), (np.eye(2), np.zeros(2))])
+        hessian = ctx.hvp_at(w, ps.dense_mask(spec))
+        with np.errstate(over="ignore"):
+            for _ in range(2):  # a failed forward pass is not kept
+                with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
+                    hessian(np.ones(spec.param_count))
+
     def test_finite_entries_whose_sum_overflows_pass(self):
         # both hidden pre-activations are 0.9e308: finite, though their sum
         # is not, so the check must fall through to the exact test
@@ -217,6 +229,35 @@ class TestBitIdentity:
                 assert result.gradient.tobytes() == g.tobytes()
                 hv = ps.hvp(ctx, w, mask, v)
                 assert hv.tobytes() == reference_hvp(ctx, w, mask, v).tobytes()
+
+    @pytest.mark.parametrize(
+        "sizes", [(2, 24, 24, 3), (2, 128, 128, 3), (2, 4, 4, 2), (2, 16, 3)]
+    )
+    def test_shared_state_matches_one_off_calls(self, sizes):
+        # products through one operator equal one-off hvp calls, and one
+        # workspace reused across batch sizes equals one-off grad calls
+        spec = ps.NetworkSpec(sizes)
+        ds = ps.gen_spirals(100, sizes[-1], 0.15, ps.RngStream(3, 1))
+        gen = np.random.default_rng(sum(sizes) + 1)
+        mask = (gen.random(spec.param_count) < 0.6) | ~ps.prunable_coords(spec)
+        workspace = autodiff.Workspace(spec, mask)
+        for n in (32, 300, 32):
+            ctx = ps.LossContext(spec, ds.features[:n], ds.labels[:n])
+            w = gen.normal(size=spec.param_count) * gen.uniform(0.2, 2.0)
+            hessian = ctx.hvp_at(w, mask)
+            for _ in range(3):
+                v = gen.normal(size=spec.param_count)
+                assert hessian(v).tobytes() == ps.hvp(ctx, w, mask, v).tobytes()
+            shared = ctx.grad(w, workspace.mask, workspace)
+            one_off = ps.grad(ctx, w, mask)
+            assert shared.loss == one_off.loss
+            assert shared.gradient.tobytes() == one_off.gradient.tobytes()
+
+    def test_workspace_serves_one_mask(self):
+        ctx, w = random_net_ctx(7)
+        workspace = autodiff.Workspace(ctx.spec, ps.dense_mask(ctx.spec))
+        with pytest.raises(ValueError, match="another mask"):
+            ctx.grad(w, ps.dense_mask(ctx.spec), workspace)
 
 
 class TestHvpOracle:
@@ -311,6 +352,33 @@ class TestEvaluationsAreCounted:
         _, _, record = ps.train(ctx, data, w0, ps.dense_mask(spec), hp)
         assert record.steps == 8
         assert counts["grad"] == record.steps
+
+    def test_train_with_a_short_last_batch_counts_one_gradient_per_step(self, counts):
+        spec = ps.NetworkSpec((2, 8, 2))
+        data = ps.gen_spirals(15, 2, 0.2, ps.RngStream(0, 1))
+        ctx = ps.LossContext(spec, data.features, data.labels)
+        hp = ps.Hyperparams(
+            epochs=3, batch_size=8, lr0=0.1, momentum=0.9, weight_decay=1e-4,
+            decay_epochs=(), decay_factor=0.1, rewind_step=0, seed=5,
+        )
+        w0 = ps.init_params(spec, ps.RngStream(0, 3))
+        _, _, record = ps.train(ctx, data, w0, ps.dense_mask(spec), hp)
+        assert record.steps == 3 * 4  # 30 rows: batches of 8, 8, 8 and 6
+        assert counts["grad"] == record.steps
+
+    def test_lanczos_counts_one_product_per_iteration(self, counts):
+        ctx, w = random_net_ctx(4, layer_sizes=(2, 8, 8, 2), n_samples=24)
+        mask = ps.dense_mask(ctx.spec)
+        report = ps.top_k_eigenvalues(ctx, w, mask, 3, ps.RngStream(6, 1))
+        assert report.lanczos_iters == 43
+        assert counts == {"forward_loss": 0, "grad": 0, "hvp": report.lanczos_iters}
+
+    def test_hutchinson_counts_one_product_per_probe(self, counts):
+        ctx, w = random_net_ctx(4)
+        mask = ps.dense_mask(ctx.spec)
+        diag = hutchinson_diagonal(ctx, w, mask, 7, ps.RngStream(6, 2))
+        assert diag.shape == w.shape
+        assert counts == {"forward_loss": 0, "grad": 0, "hvp": 7}
 
     def test_basin_radius_counts_every_probe(self, counts):
         ctx, w = random_net_ctx(3)

@@ -437,6 +437,10 @@ class TestCli:
             ("imp", {"levels": -1}),
             ("training", {"lr0": -1}),
             ("training", {"epochs": 60, "decay_epochs": [30, 60]}),
+            ("training", {"epochs": 0, "decay_epochs": []}),
+            ("training", {"batch_size": 0}),
+            ("imp", {"ft_epochs": 0}),
+            ("imp", {"ft_lr": 0.0}),
         ],
     )
     def test_bad_training_or_imp_value_exit_code(self, tmp_path, capsys, section, values):
@@ -446,6 +450,27 @@ class TestCli:
         assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def test_batch_larger_than_training_set_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "big_batch.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "dataset": {"kind": "spirals", "train_per_class": 20,
+                                 "test_per_class": 10, "classes": 3, "noise_std": 0.15},
+                    "network": [2, 8, 3],
+                    "training": {"epochs": 2, "batch_size": 500, "decay_epochs": [],
+                                  "rewind_step": 0},
+                    "imp": {"levels": 0},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "500" in err and "60 training rows" in err
+        assert "dense" not in load_manifest(out)["complete"]
 
     def test_plot_missing_artifacts_exit_code(self, tmp_path):
         result = _run_cli("plot", "--out", str(tmp_path / "void"))

@@ -53,6 +53,12 @@ class TestHyperparamsValidation:
         with pytest.raises(ValueError):
             _hp(momentum=1.0)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_rejects_counts_below_one(self, field):
+        overrides = {field: 0, "decay_epochs": ()}
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            _hp(**overrides)
+
     def test_rejects_decay_after_end(self):
         with pytest.raises(ValueError):
             _hp(decay_epochs=(5,), epochs=3)
@@ -224,3 +230,28 @@ class TestInPlaceUpdate:
         for got, want in zip(record.epoch_params, snapshots):
             assert got.tobytes() == want.tobytes()
         assert record.lr[0] == 0.1 and record.lr[-1] == pytest.approx(0.001)
+
+    def test_short_last_batch_matches_reference_bytes(self):
+        # 120 rows in batches of 7: every epoch ends with a 1-row batch, so
+        # the run's workspace holds buffers for two batch sizes
+        spec = ps.NetworkSpec((2, 24, 24, 3))
+        train_ds = ps.gen_spirals(40, 3, 0.15, ps.RngStream(9, 1))
+        test_ds = ps.gen_spirals(20, 3, 0.15, ps.RngStream(9, 2))
+        ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
+        w0 = ps.init_params(spec, ps.RngStream(9, 3))
+        gen = np.random.default_rng(9)
+        mask = (gen.random(spec.param_count) < 0.5) | ~ps.prunable_coords(spec)
+        hp = _hp(epochs=4, batch_size=7, decay_epochs=(2,), rewind_step=20)
+        final, rewind, record = train(
+            ctx, test_ds, w0, mask, hp, schedule_offset=5, record_snapshots=True
+        )
+        ref_final, ref_rewind, losses, accs, snapshots = reference_train(
+            ctx, test_ds, w0, mask, hp, 5
+        )
+        assert record.steps == 4 * 18
+        assert final.tobytes() == ref_final.tobytes()
+        assert rewind.tobytes() == ref_rewind.tobytes()
+        assert record.train_loss == losses
+        assert record.test_acc == accs
+        for got, want in zip(record.epoch_params, snapshots):
+            assert got.tobytes() == want.tobytes()
