@@ -27,15 +27,12 @@ from .numerics import random_unit_direction, tridiag_eigenvalues
 from .pruning import (
     VARIANT_TABLE,
     ImpConfig,
-    ImpResult,
     LevelArtifacts,
     Strategy,
     Variant,
     imp_dense,
     imp_levels,
-    imp_run,
     magnitude_mask,
-    project,
     prune_by_magnitude,
     random_mask,
     sparsity,
@@ -89,15 +86,12 @@ __all__ = [
     # pruning
     "VARIANT_TABLE",
     "ImpConfig",
-    "ImpResult",
     "LevelArtifacts",
     "Strategy",
     "Variant",
     "imp_dense",
     "imp_levels",
-    "imp_run",
     "magnitude_mask",
-    "project",
     "prune_by_magnitude",
     "random_mask",
     "sparsity",

@@ -115,9 +115,6 @@ class LossContext:
     ) -> GradResult:
         return grad(self, w, mask, workspace)
 
-    def hvp(self, w: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return hvp(self, w, mask, v)
-
     def hvp_at(self, w: np.ndarray, mask: np.ndarray) -> HessianAt:
         """The operator v -> H v at (w, mask); its products share one forward pass."""
         return HessianAt(self, w, mask)
@@ -268,17 +265,13 @@ def forward_loss(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> float:
     return _softmax_ce(pre[-1], ctx.label_index)[0]
 
 
-def forward_logits(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    _, pre = _forward(ctx, _masked_layers(ctx, w, mask))
-    return pre[-1]
-
-
 def accuracy_on(ctx: LossContext, w: np.ndarray, m: np.ndarray) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
     Ties resolve to the lowest class index (numpy argmax convention).
     """
-    predictions = np.argmax(forward_logits(ctx, w, m), axis=1)
+    _, pre = _forward(ctx, _masked_layers(ctx, w, m))
+    predictions = np.argmax(pre[-1], axis=1)
     return float(np.mean(predictions == ctx.labels))
 
 

@@ -79,34 +79,36 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
-    version = header.get("format_version")
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
         )
+    try:  # every field, before the payload is trusted
+        param_count = int(header["param_count"])
+        expected = param_count * 8 + int(header["mask_bytes"])
+        fields = dict(
+            spec=NetworkSpec(tuple(header["layer_sizes"])),
+            level=int(header["level"]),
+            role=str(header["role"]),
+            step=int(header["step"]),
+            seed=int(header["seed"]),
+            train_loss=float(header["train_loss"]),
+            test_accuracy=float(header["test_accuracy"]),
+        )
+        crc = int(header["payload_crc32"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad header field: {exc!r}") from exc
     payload = raw[sep + 2 :]
-    param_count = int(header["param_count"])
-    mask_bytes = int(header["mask_bytes"])
-    expected = param_count * 8 + mask_bytes
     if len(payload) != expected:
         raise CheckpointTruncatedError(
             f"{path}: payload holds {len(payload)} bytes, header declares {expected}"
         )
-    if zlib.crc32(payload) != header["payload_crc32"]:
+    if zlib.crc32(payload) != crc:
         raise CheckpointChecksumError(f"{path}: payload CRC32 mismatch")
     params = np.frombuffer(payload[: param_count * 8], dtype="<f8").astype(np.float64)
     bits = np.unpackbits(
         np.frombuffer(payload[param_count * 8 :], dtype=np.uint8),
         count=param_count,
     ).astype(bool)
-    return Checkpoint(
-        spec=NetworkSpec(tuple(header["layer_sizes"])),
-        params=params,
-        mask=bits,
-        level=int(header["level"]),
-        role=str(header["role"]),
-        step=int(header["step"]),
-        seed=int(header["seed"]),
-        train_loss=float(header["train_loss"]),
-        test_accuracy=float(header["test_accuracy"]),
-    )
+    return Checkpoint(params=params, mask=bits, **fields)

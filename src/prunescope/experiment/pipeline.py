@@ -14,18 +14,19 @@ an earlier stage left behind, so it does the same work whether its
 predecessors ran in this call or in an earlier one. A rerun with the same
 config and manifest format skips a completed stage only if every artifact it
 lists is on disk with its manifest hash; otherwise the stage reruns, in table
-order, and rewrites the same bytes. A finished pipeline is byte-for-byte
-reproducible: every random stream derives from the master seed, and no
-artifact embeds wall-clock state.
+order, and rewrites the same bytes. A rerun with another config or format
+first deletes the files the old manifest lists. A finished pipeline is
+byte-for-byte reproducible: every random stream derives from the master
+seed, and no artifact embeds wall-clock state.
 
 The dense stage trains level 0 through :func:`prunescope.pruning.imp_dense`
-and saves its per-epoch iterates. The imp stage starts
+and saves the per-epoch iterates it returns. The imp stage starts
 :func:`prunescope.pruning.imp_levels` from the level-0 and rewind
 checkpoints and writes each level as the generator yields it, with its
 trajectory against the level before. The four ``variant_*`` stages train
-rows of :data:`prunescope.pruning.VARIANT_TABLE` through
-:func:`prunescope.pruning.variant_run` (``variant_random_prune`` trains both
-``rpn1`` and ``rpn2``).
+rows of :data:`prunescope.pruning.VARIANT_TABLE` through the same retrain
+step, :func:`prunescope.pruning.variant_run` (``variant_random_prune``
+trains both ``rpn1`` and ``rpn2``).
 
 Artifact layout:
 
@@ -56,7 +57,7 @@ from .. import landscape
 from ..data import Dataset, analysis_subset, gen_spirals, load_csv, load_idx, save_csv
 from ..errors import ArtifactMissingError, ConfigError
 from ..autodiff import LossContext, accuracy_on
-from ..model import NetworkSpec, prunable_coords
+from ..model import NetworkSpec, apply_mask, prunable_coords
 from ..numerics import RngStream
 from ..pruning import (
     RANDOM_MASK_STREAM,
@@ -64,7 +65,6 @@ from ..pruning import (
     LevelArtifacts,
     imp_dense,
     imp_levels,
-    project,
     prune_by_magnitude,
     random_mask,
     sparsity,
@@ -152,10 +152,7 @@ class PipelineState:
     @functools.cached_property
     def analysis_ctx(self) -> LossContext:
         path = self._require_file("data/analysis_indices.json")
-        indices = np.asarray(json.loads(path.read_text()), dtype=np.int64)
-        return LossContext(
-            self.spec, self.train_ds.features[indices], self.train_ds.labels[indices]
-        )
+        return self.train_ctx.rows(np.asarray(json.loads(path.read_text()), dtype=np.int64))
 
     # ---- checkpoints ---------------------------------------------------
     def checkpoint(self, name: str) -> Checkpoint:
@@ -249,12 +246,11 @@ def stage_dense(state: PipelineState) -> None:
             f"training.batch_size {cfg.hp.batch_size} exceeds the "
             f"{state.train_ctx.n} training rows"
         )
-    result = imp_dense(state.train_ctx, state.test_ds, cfg, record_snapshots=True)
-    dense = result.levels[0]
-    state.store_checkpoint("init", _make_checkpoint(state, result.w_init, dense.mask, 0, "init", 0))
+    dense, w_init, w_rewind = imp_dense(state.train_ctx, state.test_ds, cfg)
+    state.store_checkpoint("init", _make_checkpoint(state, w_init, dense.mask, 0, "init", 0))
     state.store_checkpoint(
         "rewind",
-        _make_checkpoint(state, result.w_rewind, dense.mask, 0, "rewind_point", cfg.hp.rewind_step),
+        _make_checkpoint(state, w_rewind, dense.mask, 0, "rewind_point", cfg.hp.rewind_step),
     )
     _store_run(state, _level_name(0), dense, "minimum")
     rows = dense.record.epoch_params
@@ -276,7 +272,7 @@ def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtif
         [
             epoch,
             final_loss if epoch == len(current) - 1 else ctx.loss(current[epoch], mask),
-            ctx.loss(project(previous[epoch], mask), mask),
+            ctx.loss(apply_mask(previous[epoch], mask), mask),
         ]
         for epoch in range(min(len(current), len(previous)))
     ]
@@ -291,9 +287,7 @@ def stage_imp(state: PipelineState) -> None:
     )
     w_rewind = state.checkpoint("rewind").params
     cfg = state.cfg.imp_config()
-    for art in imp_levels(
-        state.train_ctx, state.test_ds, cfg, prev, w_rewind, record_snapshots=True
-    ):
+    for art in imp_levels(state.train_ctx, state.test_ds, cfg, prev, w_rewind):
         name = _level_name(art.level)
         _store_run(state, name, art, "minimum")
         write_csv(
@@ -367,7 +361,7 @@ def stage_metrics(state: PipelineState) -> None:
         before = actx.loss(prev.params, prev.mask)
         impact_rows = []
         for strategy, mask in (("magnitude", magnitude), ("random", rand)):
-            after = actx.loss(project(prev.params, mask), mask)
+            after = actx.loss(apply_mask(prev.params, mask), mask)
             impact_rows.append([strategy, before, after, after - before, _refs(prev_name)])
         write_csv(
             state.artifact("analysis/prune_impact.csv"),
@@ -382,8 +376,8 @@ def stage_distances(state: PipelineState) -> None:
     for level in range(1, state.cfg.imp.levels + 1):
         cur = state.checkpoint(_level_name(level))
         prev = state.checkpoint(_level_name(level - 1))
-        pr_prev = project(prev.params, cur.mask)
-        pr_rewind = project(w_rewind, cur.mask)
+        pr_prev = apply_mask(prev.params, cur.mask)
+        pr_rewind = apply_mask(w_rewind, cur.mask)
         rows.append(
             [
                 level,
@@ -412,10 +406,10 @@ def _eigen_points(state: PipelineState) -> list[tuple[str, np.ndarray, np.ndarra
         a, b = _level_name(level - 1), _level_name(level)
         prev, cur = state.checkpoint(a), state.checkpoint(b)
         projected.append(
-            (f"pr_{a}_on_{level:02d}", project(prev.params, cur.mask), cur.mask, _refs(a, b))
+            (f"pr_{a}_on_{level:02d}", apply_mask(prev.params, cur.mask), cur.mask, _refs(a, b))
         )
         reverse.append(
-            (f"rpr_{b}_on_{level - 1:02d}", project(cur.params, prev.mask), prev.mask, _refs(b, a))
+            (f"rpr_{b}_on_{level - 1:02d}", apply_mask(cur.params, prev.mask), prev.mask, _refs(b, a))
         )
     points += projected + reverse
     if levels > 0:
@@ -472,11 +466,11 @@ def stage_radius(state: PipelineState) -> None:
     final = state.checkpoint(final_name)
     prev = state.checkpoint(prev_name)
 
-    pr_prev = project(prev.params, final.mask)
+    pr_prev = apply_mask(prev.params, final.mask)
     cut_fwd = landscape.basin_cutoff(
         actx.loss(final.params, final.mask), actx.loss(pr_prev, final.mask)
     )
-    rpr_final = project(final.params, prev.mask)
+    rpr_final = apply_mask(final.params, prev.mask)
     cut_rev = landscape.basin_cutoff(
         actx.loss(prev.params, prev.mask), actx.loss(rpr_final, prev.mask)
     )
@@ -742,21 +736,19 @@ def _intact(out: Path, manifest: dict, name: str) -> bool:
 
 
 def run_pipeline(
-    cfg: ExperimentConfig,
-    out_dir=None,
-    stages: list[str] | None = None,
-    resume: bool = True,
+    cfg: ExperimentConfig, out_dir=None, stages: list[str] | None = None
 ) -> dict:
     """Execute the requested stages (default: all) and every stage they read,
     in table order, returning the manifest.
 
-    With ``resume`` (the default), an existing manifest of the same format
-    and config is kept, and a stage it marks complete is skipped if every
-    artifact the stage lists is on disk with its manifest hash; a missing or
-    changed artifact reruns its stage. A config or format change, or a
-    manifest that does not parse, recomputes from scratch. The manifest is
-    rewritten atomically after each stage, so on a stage failure the
-    manifest of completed stages is already on disk.
+    An existing manifest of the same format and config is kept, and a stage
+    it marks complete is skipped if every artifact the stage lists is on
+    disk with its manifest hash; a missing or changed artifact reruns its
+    stage. An absent or malformed manifest recomputes from scratch, and so
+    does a config or format change, after deleting the files the old
+    manifest lists inside the output directory. The manifest is rewritten
+    atomically after each stage, so on a stage failure the manifest of
+    completed stages is already on disk.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -773,13 +765,17 @@ def run_pipeline(
         "hashes": {},
         "complete": [],
     }
-    if resume:
-        try:
-            previous = load_manifest(out)
-        except ArtifactMissingError:  # absent or half-written: recompute
-            previous = {}
-        if all(previous.get(key) == manifest[key] for key in ("format_version", "config")):
-            manifest = previous
+    try:
+        previous = load_manifest(out)
+    except ArtifactMissingError:  # absent, half-written or malformed: recompute
+        previous = manifest
+    if all(previous[key] == manifest[key] for key in ("format_version", "config")):
+        manifest = previous
+    else:  # another config's files, which the new one need not all overwrite
+        for rel in previous["hashes"]:
+            path = (out / rel).resolve()
+            if path.is_relative_to(out.resolve()) and path.is_file():
+                path.unlink()
 
     state = PipelineState(cfg, out)
     for stage in STAGE_TABLE:

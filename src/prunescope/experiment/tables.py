@@ -62,13 +62,24 @@ def write_manifest(out: Path, manifest: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# the keys of a manifest, each with the type of its value
+MANIFEST_KEYS = {
+    "format_version": int, "config": dict, "stages": dict, "hashes": dict, "complete": list
+}
+
+
 def load_manifest(out_dir) -> dict:
-    """The run's manifest; :class:`ArtifactMissingError` if it is absent or
-    does not parse."""
+    """The run's manifest; :class:`ArtifactMissingError` if it is absent,
+    does not parse, or is not an object holding ``MANIFEST_KEYS``."""
     path = Path(out_dir) / MANIFEST_NAME
     if not path.exists():
         raise ArtifactMissingError(f"no {MANIFEST_NAME} under {out_dir}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactMissingError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or any(
+        not isinstance(manifest.get(key), kind) for key, kind in MANIFEST_KEYS.items()
+    ):
+        raise ArtifactMissingError(f"{path} is not a manifest of {', '.join(MANIFEST_KEYS)}")
+    return manifest

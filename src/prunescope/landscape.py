@@ -57,6 +57,7 @@ from .numerics import random_unit_direction, tridiag_eigenvalues
 from .parallel import parallel_map
 
 LANCZOS_BREAKDOWN = 1e-12
+LANCZOS_RESTARTS = 3  # fresh start vectors after an early breakdown
 RADIUS_START = 1.28
 RADIUS_MAX = 100.0
 RADIUS_TOL = 2.5e-7
@@ -73,7 +74,7 @@ class EigenReport:
 
 
 def top_k_eigenvalues(
-    ctx, w: np.ndarray, m: np.ndarray, k: int, rng: RngStream, max_restarts: int = 3
+    ctx, w: np.ndarray, m: np.ndarray, k: int, rng: RngStream
 ) -> EigenReport:
     """Lanczos iteration over the active-subspace Hessian operator.
 
@@ -86,11 +87,11 @@ def top_k_eigenvalues(
     reports zeros of order 1e-16 as positive.
 
     Early breakdown (an invariant Krylov subspace) restarts with a fresh
-    start vector; if every restart still exhausts the operator's reachable
-    image with fewer than k positive values, the report simply carries what
-    exists (degenerate points have low-rank Hessians, and downstream
-    consumers flag short reports). Only a spectrum with no positive value at
-    all is treated as a numerical failure.
+    start vector, up to ``LANCZOS_RESTARTS`` times; if every restart still
+    exhausts the operator's reachable image with fewer than k positive
+    values, the report simply carries what exists (degenerate points have
+    low-rank Hessians, and downstream consumers flag short reports). Only a
+    spectrum with no positive value at all is treated as a numerical failure.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -102,7 +103,7 @@ def top_k_eigenvalues(
     hessian = ctx.hvp_at(w, m)
 
     best: EigenReport | None = None
-    for restart in range(max_restarts + 1):
+    for restart in range(LANCZOS_RESTARTS + 1):
         q = random_unit_direction(m, rng.derive(restart))
         basis = np.zeros((n_iter, q.size))
         alphas: list[float] = []
@@ -140,7 +141,7 @@ def top_k_eigenvalues(
         return best
     raise NumericalFailureError(
         f"Lanczos found no positive eigenvalues for k={k} "
-        f"({max_restarts} restarts exhausted)"
+        f"({LANCZOS_RESTARTS} restarts exhausted)"
     )
 
 

@@ -122,7 +122,9 @@ def init_params(spec: NetworkSpec, rng: RngStream) -> np.ndarray:
 
 
 def apply_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Elementwise product keeping only the mask's active coordinates."""
+    """Elementwise product keeping only the mask's active coordinates. Onto a
+    denser mask (reverse projection), re-activated coordinates stay zero
+    because the source vector is zero there."""
     w = np.asarray(w, dtype=np.float64)
     m = np.asarray(m, dtype=bool)
     if w.shape != m.shape:

@@ -9,10 +9,12 @@ MaskExhaustedError. The IMP loop supports the four retraining strategies
 (weight rewinding, learning-rate rewinding, fine-tuning, random
 re-initialization).
 
-The retrain step prunes a trained level by one mask rule and retrains it.
-:func:`imp_levels` takes it once per level, and the comparison runs are rows
-of ``VARIANT_TABLE``, each the same step with a fixed source level (0 or
-L-1), mask rule, strategy and seed keys, which :func:`variant_run` trains.
+:func:`variant_run` is the one retrain step: it prunes a trained level by
+one mask rule and retrains it. :func:`imp_dense` trains level 0, and
+:func:`imp_levels` takes the step once per level. The comparison runs are
+rows of ``VARIANT_TABLE``, each the same step with a fixed source level (0
+or L-1), mask rule, strategy and seed keys. A solution goes onto another
+level's mask through :func:`~prunescope.model.apply_mask`.
 """
 
 from __future__ import annotations
@@ -79,15 +81,6 @@ class LevelArtifacts:
     mask: np.ndarray
     solution: np.ndarray
     record: TrainRecord
-
-
-@dataclass
-class ImpResult:
-    """Per-level artifacts plus the dense run's init and rewind vectors."""
-
-    levels: list[LevelArtifacts]
-    w_init: np.ndarray
-    w_rewind: np.ndarray
 
 
 def sparsity(m: np.ndarray) -> float:
@@ -213,16 +206,6 @@ def random_mask(
     return _prunes_something(new_mask, current, prunable)
 
 
-def project(w: np.ndarray, target_mask: np.ndarray) -> np.ndarray:
-    """Apply another level's mask to a solution.
-
-    Covers both directions: onto a sparser mask (projection) and onto a
-    denser one (reverse projection, where re-activated coordinates stay zero
-    because the source vector is zero there).
-    """
-    return apply_mask(w, target_mask)
-
-
 def level_hp(hp: Hyperparams, key: int) -> Hyperparams:
     """Fresh SGD noise per run: re-key the data-order seed."""
     return replace(hp, seed=mix_seed(hp.seed, key))
@@ -244,14 +227,14 @@ def retrain_plan(
     """
     hp = level_hp(cfg.hp, seed_key)
     if cfg.strategy is Strategy.WEIGHT_REWIND:
-        return project(w_rewind, mask), hp, cfg.hp.rewind_step
+        return apply_mask(w_rewind, mask), hp, cfg.hp.rewind_step
     if cfg.strategy is Strategy.LR_REWIND:
-        return project(prev_solution, mask), hp, cfg.hp.rewind_step
+        return apply_mask(prev_solution, mask), hp, cfg.hp.rewind_step
     if cfg.strategy is Strategy.FINE_TUNE:
         ft = replace(
             hp, epochs=cfg.ft_epochs, lr0=cfg.ft_lr, decay_epochs=(), rewind_step=0
         )
-        return project(prev_solution, mask), ft, 0
+        return apply_mask(prev_solution, mask), ft, 0
     # random re-initialization of the surviving coordinates
     fresh = init_params(ctx.spec, RngStream(cfg.hp.seed, REINIT_STREAM).derive(init_key))
     return apply_mask(fresh, mask), hp, 0
@@ -292,31 +275,38 @@ VARIANT_TABLE = (
 )
 
 
-def _retrain(
+def variant_run(
     ctx: LossContext,
     test: Dataset,
     cfg: ImpConfig,
-    step: Variant,
+    variant: Variant,
     source: LevelArtifacts,
     w_rewind: np.ndarray,
-    target_sparsity: float | None,
+    target_sparsity: float | None = None,
     record_snapshots: bool = False,
 ) -> LevelArtifacts:
-    """The retrain step: prune ``source`` by the step's mask rule, then train
-    from :func:`retrain_plan`'s start. The result's level is the source's + 1."""
+    """The retrain step: prune ``source`` by the variant's mask rule, then
+    train from :func:`retrain_plan`'s start. The result's level is the
+    source's + 1.
+
+    A one-round rule prunes ``cfg.prune_fraction_per_round`` and ranks like
+    an IMP round, within layers when ``cfg.per_layer`` is set, so the
+    one-round magnitude mask is IMP level L's. A to-target rule prunes to
+    ``target_sparsity`` (level L's) and always ranks globally.
+    """
     prunable = prunable_coords(ctx.spec)
-    fraction = None if step.to_target else cfg.prune_fraction_per_round
-    target = target_sparsity if step.to_target else None
-    slices = None if step.to_target else ranking_slices(ctx.spec, cfg.per_layer)
-    if step.rule == "magnitude":
+    fraction = None if variant.to_target else cfg.prune_fraction_per_round
+    target = target_sparsity if variant.to_target else None
+    slices = None if variant.to_target else ranking_slices(ctx.spec, cfg.per_layer)
+    if variant.rule == "magnitude":
         mask = magnitude_mask(
             source.solution, source.mask, fraction, prunable, slices, target_sparsity=target
         )
     else:
-        rng = RngStream(cfg.hp.seed, RANDOM_MASK_STREAM).derive(step.mask_key)
+        rng = RngStream(cfg.hp.seed, RANDOM_MASK_STREAM).derive(variant.mask_key)
         mask = random_mask(source.mask, fraction, rng, prunable, target_sparsity=target)
     start, hp, offset = retrain_plan(
-        replace(cfg, strategy=step.strategy), step.seed_key, step.init_key,
+        replace(cfg, strategy=variant.strategy), variant.seed_key, variant.init_key,
         mask, source.solution, w_rewind, ctx,
     )
     final, _, record = train(
@@ -325,44 +315,24 @@ def _retrain(
     return LevelArtifacts(source.level + 1, mask, final, record)
 
 
-def variant_run(
-    ctx: LossContext,
-    test: Dataset,
-    cfg: ImpConfig,
-    variant: Variant,
-    source: LevelArtifacts,
-    w_rewind: np.ndarray,
-    target_sparsity: float,
-) -> LevelArtifacts:
-    """Prune ``source`` by the variant's mask rule and retrain it.
-
-    A one-round rule prunes ``cfg.prune_fraction_per_round`` and ranks like
-    an IMP round, within layers when ``cfg.per_layer`` is set, so the
-    one-round magnitude mask is IMP level L's. A to-target rule prunes to
-    ``target_sparsity`` (level L's) and always ranks globally. The result's
-    level is the source's + 1.
-    """
-    return _retrain(ctx, test, cfg, variant, source, w_rewind, target_sparsity)
-
-
 def imp_dense(
-    ctx: LossContext, test: Dataset, cfg: ImpConfig, record_snapshots: bool = False
-) -> ImpResult:
+    ctx: LossContext, test: Dataset, cfg: ImpConfig
+) -> tuple[LevelArtifacts, np.ndarray, np.ndarray]:
     """IMP level 0: train the dense network from a fresh initialization.
 
-    The result holds level 0 and the init and rewind vectors. A
-    DivergenceError carries level 0.
+    Returns (level 0, init vector, rewind vector); level 0's record holds
+    its end-of-epoch iterates. A DivergenceError carries level 0.
     """
     w_init = init_params(ctx.spec, RngStream(cfg.hp.seed, INIT_STREAM))
     mask = dense_mask(ctx.spec)
     try:
         final, w_rewind, record = train(
-            ctx, test, w_init, mask, level_hp(cfg.hp, 0), record_snapshots=record_snapshots
+            ctx, test, w_init, mask, level_hp(cfg.hp, 0), record_snapshots=True
         )
     except DivergenceError as exc:
         exc.level = 0
         raise
-    return ImpResult([LevelArtifacts(0, mask, final, record)], w_init, w_rewind)
+    return LevelArtifacts(0, mask, final, record), w_init, w_rewind
 
 
 def imp_levels(
@@ -371,29 +341,22 @@ def imp_levels(
     cfg: ImpConfig,
     prev: LevelArtifacts,
     w_rewind: np.ndarray,
-    record_snapshots: bool = False,
 ) -> Iterator[LevelArtifacts]:
     """Yield IMP levels ``prev.level + 1`` through ``cfg.levels``, each as
     soon as it is trained.
 
     Level L is the retrain step from level L-1: one magnitude round, the
-    configured strategy, and seed keys L. A round that prunes nothing raises
-    MaskExhaustedError naming the level, and a DivergenceError carries it.
+    configured strategy, and seed keys L. Its record holds its end-of-epoch
+    iterates. A round that prunes nothing raises MaskExhaustedError naming
+    the level, and a DivergenceError carries it.
     """
     for level in range(prev.level + 1, cfg.levels + 1):
         step = Variant(f"level{level:02d}", False, "magnitude", False, cfg.strategy, level, level)
         try:
-            prev = _retrain(ctx, test, cfg, step, prev, w_rewind, None, record_snapshots)
+            prev = variant_run(ctx, test, cfg, step, prev, w_rewind, record_snapshots=True)
         except MaskExhaustedError as exc:
             raise MaskExhaustedError(f"IMP level {level}: {exc}") from exc
         except DivergenceError as exc:
             exc.level = level
             raise
         yield prev
-
-
-def imp_run(ctx: LossContext, test: Dataset, cfg: ImpConfig) -> ImpResult:
-    """Dense training followed by ``cfg.levels`` prune/retrain rounds."""
-    result = imp_dense(ctx, test, cfg)
-    result.levels += imp_levels(ctx, test, cfg, result.levels[0], result.w_rewind)
-    return result

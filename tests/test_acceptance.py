@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (
+    DEFAULT_SEEDS,
     criterion2_config,
     diag_quadratic,
     fd_gradient,
@@ -28,7 +29,7 @@ from prunescope.experiment.tables import read_csv_dicts
 from prunescope.experiment.trends import trend_criteria
 
 ROOT = Path(__file__).resolve().parent.parent
-N_SEEDS = 3
+N_SEEDS = len(DEFAULT_SEEDS)
 PIPELINE_TIME_BUDGET = 900.0  # seconds per default run
 
 REPORT_LINES: list[str] = []  # echoed in the terminal summary (see conftest)
@@ -136,21 +137,8 @@ class TestCriterion1Oracles:
 
 
 # ---------------------------------------------------------------------------
-# 2 + 4 + 5. pipeline-level criteria share the default runs
+# 2 + 4 + 5. pipeline-level criteria share the default runs (conftest.py)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="session")
-def default_runs(tmp_path_factory):
-    """Three full default pipelines under ``<base>/seed{N}``, with wall times."""
-    base = tmp_path_factory.mktemp("default")
-    runs = []
-    for seed in range(1, N_SEEDS + 1):
-        out = base / f"seed{seed}"
-        t0 = time.perf_counter()
-        run_pipeline(ExperimentConfig(master_seed=seed), out)
-        runs.append((out, time.perf_counter() - t0))
-    return runs
 
 
 @pytest.fixture(scope="session")

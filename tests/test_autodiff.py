@@ -11,7 +11,6 @@ from helpers import (
 
 import prunescope as ps
 from prunescope import autodiff
-from prunescope.autodiff import forward_logits
 from prunescope.errors import NumericalFailureError
 from prunescope.landscape import hutchinson_diagonal
 from prunescope.model import join_params, split_params
@@ -310,9 +309,11 @@ class TestForwardLogits:
         h1 = np.maximum(ctx.features @ W1.T + b1, 0.0)
         h2 = np.maximum(h1 @ W2.T + b2, 0.0)
         expected = h2 @ W3.T + b3
-        np.testing.assert_array_equal(
-            forward_logits(ctx, w, ps.dense_mask(ctx.spec)), expected
-        )
+        mask = ps.dense_mask(ctx.spec)
+        _, pre = autodiff._forward(ctx, autodiff._masked_layers(ctx, w, mask))
+        np.testing.assert_array_equal(pre[-1], expected)
+        hits = np.argmax(expected, axis=1) == ctx.labels
+        assert ps.accuracy_on(ctx, w, mask) == float(np.mean(hits))
 
 
 class TestEvaluationsAreCounted:
@@ -337,7 +338,7 @@ class TestEvaluationsAreCounted:
         mask = ps.dense_mask(ctx.spec)
         ctx.loss(w, mask)
         ctx.grad(w, mask)
-        ctx.hvp(w, mask, np.ones(w.size))
+        ctx.hvp_at(w, mask)(np.ones(w.size))
         assert counts == {"forward_loss": 1, "grad": 1, "hvp": 1}
 
     def test_train_counts_one_gradient_per_step(self, counts):

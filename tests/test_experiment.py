@@ -7,6 +7,7 @@ import pytest
 import prunescope as ps
 from prunescope.errors import (
     CheckpointChecksumError,
+    CheckpointError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
@@ -89,6 +90,20 @@ class TestCheckpointRoundTrip:
         data["format_version"] = 99
         path.write_bytes(json.dumps(data, sort_keys=True).encode() + b"\n\n" + rest)
         with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"param_count": "x"}, {"level": None}, {"layer_sizes": [2]}, "only_version"],
+        ids=["param_count", "level", "layer_sizes", "only_version"],
+    )
+    def test_bad_header_field(self, tmp_path, change):
+        path = tmp_path / "cp.ckpt"
+        save_checkpoint(path, _random_checkpoint())
+        header, rest = path.read_bytes().split(b"\n\n", 1)
+        data = {"format_version": 1} if change == "only_version" else {**json.loads(header), **change}
+        path.write_bytes(json.dumps(data, sort_keys=True).encode() + b"\n\n" + rest)
+        with pytest.raises(CheckpointError, match="cp.ckpt: bad header field"):
             load_checkpoint(path)
 
 

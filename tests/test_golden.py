@@ -1,13 +1,17 @@
-"""Pinned manifest hashes of the criterion-2 config.
+"""Pinned manifest hashes of the criterion-2 config and the default runs.
 
 ``tests/golden/criterion2_hashes.json`` holds the artifact hashes of one
-run of :func:`helpers.criterion2_config`, together with the machine facts
-they were recorded under. Bits can depend on the core count, the numpy and
-BLAS builds and the BLAS thread count, so the test compares hashes only when
-all of those match and skips, naming the difference, otherwise.
+run of :func:`helpers.criterion2_config`, and
+``tests/golden/default_hashes.json`` those of the full default config for
+each seed of ``DEFAULT_SEEDS``, read from the ``default_runs`` fixture the
+acceptance gate shares, so they cost no extra pipeline. Each file holds the
+machine facts its hashes were recorded under. Bits can depend on the core
+count, the numpy and BLAS builds and the BLAS thread count, so a test
+compares hashes only when all of those match and skips, naming the
+difference, otherwise.
 
-A change that moves numbers on purpose re-pins the file, from the repository
-root::
+A change that moves numbers on purpose re-pins both files, from the
+repository root::
 
     PYTHONPATH=src python tests/test_golden.py --repin
 """
@@ -22,11 +26,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import criterion2_config
+from helpers import DEFAULT_SEEDS, criterion2_config
 
-from prunescope.experiment import run_pipeline
+from prunescope.experiment import ExperimentConfig, load_manifest, run_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "criterion2_hashes.json"
+DEFAULT_GOLDEN = GOLDEN.with_name("default_hashes.json")
 
 
 def machine_facts() -> dict:
@@ -44,24 +49,49 @@ def machine_facts() -> dict:
     }
 
 
-def test_criterion2_hashes_match_pinned(tmp_path):
-    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+def _pinned(path: Path) -> dict:
+    """The pinned record, or a skip naming the machine facts that differ."""
+    pinned = json.loads(path.read_text(encoding="utf-8"))
     here = machine_facts()
     differs = {k: (v, here.get(k)) for k, v in pinned["machine"].items() if here.get(k) != v}
     if differs:
         pytest.skip(f"machine facts differ from the pinned ones (pinned, here): {differs}")
+    return pinned
+
+
+def test_criterion2_hashes_match_pinned(tmp_path):
+    pinned = _pinned(GOLDEN)
     hashes = run_pipeline(criterion2_config(), tmp_path / "run")["hashes"]
     assert sorted(hashes) == sorted(pinned["hashes"])
     changed = sorted(k for k in hashes if hashes[k] != pinned["hashes"][k])
     assert not changed, f"artifacts whose hash moved: {changed}"
 
 
-def _repin(out: Path) -> None:
-    hashes = run_pipeline(criterion2_config(), out)["hashes"]
-    record = {"machine": machine_facts(), "hashes": hashes}
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"pinned {len(hashes)} hashes in {GOLDEN}")
+def test_default_hashes_match_pinned(default_runs):
+    pinned = _pinned(DEFAULT_GOLDEN)["seeds"]
+    assert sorted(pinned) == sorted(str(seed) for seed in DEFAULT_SEEDS)
+    moved = []
+    for seed, (out, _) in zip(DEFAULT_SEEDS, default_runs, strict=True):
+        hashes, want = load_manifest(out)["hashes"], pinned[str(seed)]
+        assert sorted(hashes) == sorted(want), f"seed {seed}: the artifact set changed"
+        moved += [f"seed {seed}: {k}" for k in sorted(hashes) if hashes[k] != want[k]]
+    assert not moved, f"artifacts whose hash moved: {moved}"
+
+
+def _write(path: Path, record: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"pinned {path}")
+
+
+def _repin(tmp: Path) -> None:
+    hashes = run_pipeline(criterion2_config(), tmp / "criterion2")["hashes"]
+    _write(GOLDEN, {"machine": machine_facts(), "hashes": hashes})
+    seeds = {
+        str(seed): run_pipeline(ExperimentConfig(master_seed=seed), tmp / f"seed{seed}")["hashes"]
+        for seed in DEFAULT_SEEDS
+    }
+    _write(DEFAULT_GOLDEN, {"machine": machine_facts(), "seeds": seeds})
 
 
 if __name__ == "__main__":
@@ -70,4 +100,4 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--repin"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --repin")
     with tempfile.TemporaryDirectory() as tmp:
-        _repin(Path(tmp) / "run")
+        _repin(Path(tmp))

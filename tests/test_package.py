@@ -55,3 +55,22 @@ def test_no_module_imports_the_trend_criteria():
                 if any(name.split(".")[-1] == "trends" for name in names):
                     importers.append(str(path.relative_to(SRC)))
     assert importers == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py files import to re-export; every other import must be read
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        rel = path.relative_to(SRC)
+        unused += [f"{rel}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -240,6 +240,47 @@ class TestStagesReadTheDisk:
         assert load_manifest(out)["hashes"] == fresh[1]
         assert _disk_hashes(out, fresh[1]) == fresh[1]
 
+    @pytest.mark.parametrize("damage", ["list", "no complete", "stages a list"])
+    def test_manifest_of_another_shape_is_recomputed(self, fresh, tmp_path, damage):
+        out = self._resumed_copy(fresh, tmp_path)
+        manifest = load_manifest(out)
+        if damage == "list":
+            manifest = []
+        elif damage == "no complete":
+            del manifest["complete"]
+        else:
+            manifest["stages"] = []
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ArtifactMissingError, match="is not a manifest"):
+            load_manifest(out)
+        assert run_pipeline(criterion2_config(), out)["hashes"] == fresh[1]
+        assert _disk_hashes(out, fresh[1]) == fresh[1]
+
+    def test_fewer_levels_leave_no_stale_file(self, fresh, tmp_path):
+        out = self._resumed_copy(fresh, tmp_path)
+        base = criterion2_config()
+        hashes = run_pipeline(replace(base, imp=replace(base.imp, levels=1)), out)["hashes"]
+        on_disk = {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
+        assert on_disk == set(hashes) | {"manifest.json"}
+        stale = ["checkpoints/level02.ckpt", "metrics/train_level02.csv",
+                 "metrics/trajectory_level02.csv", "analysis/interp_level01_level02.csv",
+                 "plots/interp_level01_level02.svg"]
+        assert set(stale) <= set(fresh[1]) and not set(stale) & on_disk
+
+    def test_stale_files_outside_the_directory_are_kept(self, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(criterion2_config(), out, stages=["data"])
+        outside = tmp_path / "outside.txt"
+        outside.write_text("keep\n", encoding="utf-8")
+        (out / "link.txt").symlink_to(outside)
+        manifest = load_manifest(out)
+        manifest["hashes"].update({"../outside.txt": "x", str(outside): "x", "link.txt": "x"})
+        manifest["format_version"] = 1
+        write_manifest(out, manifest)
+        run_pipeline(criterion2_config(), out, stages=["data"])
+        assert outside.read_text(encoding="utf-8") == "keep\n"
+        assert (out / "link.txt").is_symlink()
+
 
 class TestManifestWrite:
     def test_interrupted_write_keeps_the_previous_manifest(self, tmp_path, monkeypatch):
@@ -316,7 +357,7 @@ class TestPerLayerRanking:
         for name in ("fine_tune", "random_reinit"):
             np.testing.assert_array_equal(state.checkpoint(name).mask, last.mask)
         # the magnitude prune-impact row prunes level 1 by IMP's round
-        expected = state.analysis_ctx.loss(ps.project(prev.params, last.mask), last.mask)
+        expected = state.analysis_ctx.loss(ps.apply_mask(prev.params, last.mask), last.mask)
         rows = read_csv_dicts(out / "analysis/prune_impact.csv")
         magnitude = next(r for r in rows if r["strategy"] == "magnitude")
         assert float(magnitude["loss_after"]) == expected
@@ -421,6 +462,18 @@ class TestCli:
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: len(text) // 2], encoding="utf-8")
         assert cli.main(["plot", "--out", str(out)]) == 1
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert load_manifest(out)["complete"] == ["data"]
+
+    def test_manifest_that_is_not_an_object(self, tmp_path, capsys):
+        # plot reports it; gen-data recomputes the data stage
+        cfg_path = tmp_path / "cfg.json"
+        save_config(criterion2_config(), cfg_path)
+        out = tmp_path / "out"
+        run_pipeline(criterion2_config(), out, stages=["data"])
+        (out / "manifest.json").write_text("[]\n", encoding="utf-8")
+        assert cli.main(["plot", "--out", str(out)]) == 1
+        assert "error: " in capsys.readouterr().err
         assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert load_manifest(out)["complete"] == ["data"]
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,20 +144,29 @@ class TestRandomMask:
 
 
 class TestProject:
+    """Projection onto another level's mask is ``apply_mask``."""
+
     def test_definition(self):
-        out = ps.project(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1], bool))
+        out = ps.apply_mask(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1], bool))
         np.testing.assert_array_equal(out, [1.0, 0.0, 3.0])
 
     def test_reverse_projection_identity(self):
         w = np.array([1.0, 0.0, 3.0])
-        np.testing.assert_array_equal(ps.project(w, np.ones(3, bool)), w)
+        np.testing.assert_array_equal(ps.apply_mask(w, np.ones(3, bool)), w)
 
     def test_support_shrinks(self):
         gen = np.random.default_rng(0)
         w = gen.normal(size=30)
         target = gen.random(30) < 0.5
-        out = ps.project(w, target)
+        out = ps.apply_mask(w, target)
         assert np.count_nonzero(out) <= np.count_nonzero(w)
+
+
+def imp_run(ctx, test_ds, cfg):
+    """Level 0 and every IMP level (``levels``), and the rewind vector (``w_rewind``)."""
+    dense, _, w_rewind = ps.imp_dense(ctx, test_ds, cfg)
+    levels = [dense, *ps.imp_levels(ctx, test_ds, cfg, dense, w_rewind)]
+    return SimpleNamespace(levels=levels, w_rewind=w_rewind)
 
 
 def _small_cfg(strategy="weight_rewind", levels=2, seed=0):
@@ -191,19 +201,19 @@ def _small_problem(seed=0):
 class TestImpRun:
     def test_degenerate_zero_levels(self):
         spec, ctx, test_ds = _small_problem()
-        result = ps.imp_run(ctx, test_ds, _small_cfg(levels=0))
+        result = imp_run(ctx, test_ds, _small_cfg(levels=0))
         assert len(result.levels) == 1
         assert result.levels[0].mask.all()
 
     def test_sparsity_strictly_increases(self):
         spec, ctx, test_ds = _small_problem(1)
-        result = ps.imp_run(ctx, test_ds, _small_cfg(levels=3))
+        result = imp_run(ctx, test_ds, _small_cfg(levels=3))
         sparsities = [ps.sparsity(l.mask) for l in result.levels]
         assert all(b > a for a, b in zip(sparsities, sparsities[1:]))
 
     def test_mask_monotone_and_solutions_masked(self):
         spec, ctx, test_ds = _small_problem(2)
-        result = ps.imp_run(ctx, test_ds, _small_cfg(levels=3))
+        result = imp_run(ctx, test_ds, _small_cfg(levels=3))
         for prev, cur in zip(result.levels, result.levels[1:]):
             assert not (cur.mask & ~prev.mask).any()
         for level in result.levels:
@@ -214,7 +224,7 @@ class TestImpRun:
     def test_weight_rewind_start_agrees_with_rewind_point(self):
         spec, ctx, test_ds = _small_problem(3)
         cfg = _small_cfg(levels=1)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         mask1 = result.levels[1].mask
         start, _, offset = retrain_plan(
             cfg, 1, 1, mask1, result.levels[0].solution, result.w_rewind, ctx
@@ -227,13 +237,13 @@ class TestImpRun:
     )
     def test_all_strategies_run(self, strategy):
         spec, ctx, test_ds = _small_problem(4)
-        result = ps.imp_run(ctx, test_ds, _small_cfg(strategy=strategy, levels=1))
+        result = imp_run(ctx, test_ds, _small_cfg(strategy=strategy, levels=1))
         assert len(result.levels) == 2
 
     def test_deterministic(self):
         spec, ctx, test_ds = _small_problem(5)
-        a = ps.imp_run(ctx, test_ds, _small_cfg(levels=2, seed=9))
-        b = ps.imp_run(ctx, test_ds, _small_cfg(levels=2, seed=9))
+        a = imp_run(ctx, test_ds, _small_cfg(levels=2, seed=9))
+        b = imp_run(ctx, test_ds, _small_cfg(levels=2, seed=9))
         for la, lb in zip(a.levels, b.levels):
             np.testing.assert_array_equal(la.solution, lb.solution)
 
@@ -241,7 +251,7 @@ class TestImpRun:
     def test_continued_loop_matches_one_run(self):
         spec, ctx, test_ds = _small_problem(11)
         cfg = _small_cfg(levels=3, seed=4)
-        whole = ps.imp_run(ctx, test_ds, cfg)
+        whole = imp_run(ctx, test_ds, cfg)
         # level 1 rebuilt from its vectors alone, as the pipeline rebuilds it from disk
         one = whole.levels[1]
         start = ps.LevelArtifacts(1, one.mask.copy(), one.solution.copy(), ps.TrainRecord())
@@ -263,7 +273,7 @@ class TestImpRun:
         # floor(0.05 * 10) = 0: the first round would retrain the dense mask
         cfg = replace(_small_cfg(levels=2), prune_fraction_per_round=0.05)
         with pytest.raises(MaskExhaustedError, match="level 1"):
-            ps.imp_run(ctx, test_ds, cfg)
+            imp_run(ctx, test_ds, cfg)
 
 
 _VARIANT = {variant.name: variant for variant in VARIANT_TABLE}
@@ -288,7 +298,7 @@ class TestVariantRuns:
     def test_one_shot_mask_matches_single_round_at_one_round_target(self):
         spec, ctx, test_ds = _small_problem(6)
         cfg = _small_cfg(levels=1)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         art = _variant("one_shot", ctx, test_ds, cfg, result)
         np.testing.assert_array_equal(art.mask, result.levels[1].mask)
         assert art.level == 1
@@ -296,14 +306,14 @@ class TestVariantRuns:
     def test_one_shot_sparsity_matches_deeper_target(self):
         spec, ctx, test_ds = _small_problem(7)
         cfg = _small_cfg(levels=3)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         art = _variant("one_shot", ctx, test_ds, cfg, result)
         assert int(art.mask.sum()) == int(result.levels[3].mask.sum())
 
     def test_random_pruned_fraction_matches_level_counts(self):
         spec, ctx, test_ds = _small_problem(8)
         cfg = _small_cfg(levels=1)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         for name in ("rpn1", "rpn2"):
             art = _variant(name, ctx, test_ds, cfg, result)
             assert int(art.mask.sum()) == int(result.levels[1].mask.sum())
@@ -311,7 +321,7 @@ class TestVariantRuns:
     def test_random_pruned_deterministic_mask(self):
         spec, ctx, test_ds = _small_problem(9)
         cfg = _small_cfg(levels=1)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         a = _variant("rpn1", ctx, test_ds, cfg, result)
         b = _variant("rpn1", ctx, test_ds, cfg, result)
         np.testing.assert_array_equal(a.mask, b.mask)
@@ -322,7 +332,7 @@ class TestVariantRuns:
     def test_fine_tune_and_reinit_masks_match_magnitude_round(self):
         spec, ctx, test_ds = _small_problem(10)
         cfg = _small_cfg(levels=1)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         expected = ps.magnitude_mask(
             result.levels[0].solution,
             result.levels[0].mask,
@@ -342,7 +352,7 @@ class TestVariantRuns:
         ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
         # floor(0.05 * 10) = 0: one round off the dense mask prunes nothing
         cfg = replace(_small_cfg(levels=0), prune_fraction_per_round=0.05)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         with pytest.raises(MaskExhaustedError, match="prunes none of 10"):
             _variant(name, ctx, test_ds, cfg, result)
 
@@ -373,7 +383,7 @@ class TestPerLayerPruning:
         test_ds = ps.gen_spirals(8, 3, 0.2, ps.RngStream(3, 11))
         ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
         cfg = replace(_small_cfg(levels=2), per_layer=True)
-        result = ps.imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ds, cfg)
         level2 = result.levels[2].mask
         kept = [int(level2[w_sl].sum()) for w_sl, _, _ in layer_slices(spec)]
         assert kept == [21, 164, 32]  # 32, 256, 48 weights, two 20% rounds each
