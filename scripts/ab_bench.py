@@ -12,9 +12,12 @@ its JSON result.
 
 The script prints, for each end-to-end metric of ``BENCHMARK.json``, the
 median of each side, the parent's quartiles and the number of pairs the
-change won. It appends every result line to the ``runs`` list of the bench
-file (created if missing) and stores the summary under ``summary``, keyed
-``"<workload> (seeds <seeds>)"``.
+change won. It also reads the artifact digests each run recorded in its
+checkout's ``.perfbench/results/<workload>-seed<S>-trace<T>.json`` and
+prints how many pairs have equal digests and the seeds of those that differ.
+It appends every result line, with its digests, to the ``runs`` list of the
+bench file (created if missing) and stores the summary under ``summary``,
+keyed ``"<workload> (seeds <seeds>)"``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run in ``checkout``; its JSON result line."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int
+) -> tuple[dict, list[str]]:
+    """One benchmark run in ``checkout``: its JSON result line and the
+    artifact digests its results file records (none if the run failed)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -45,8 +51,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"correct": False, "error": proc.stderr[-2000:], "metrics": {}}
-    return json.loads(lines[-1])
+        return {"correct": False, "error": proc.stderr[-2000:], "metrics": {}}, []
+    # run.py writes this file before it prints its result line
+    results = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(lines[-1]), json.loads(results.read_text(encoding="utf-8"))["digests"]
+
+
+def compare_digests(digests: dict[int, tuple[list[str], list[str]]]) -> dict:
+    """``{"equal": n, "differ": [seeds]}`` over each seed's (parent, change)
+    digest lists. A pair is equal when both sides recorded digests, and the
+    same set of them."""
+    differ = [seed for seed, (p, c) in digests.items() if not p or not c or set(p) != set(c)]
+    return {"equal": len(digests) - len(differ), "differ": differ}
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -104,28 +120,33 @@ def main(argv: list[str] | None = None) -> int:
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     seeds = parse_seeds(args.seeds)
-    pairs, runs = [], []
+    pairs, runs, digests = [], [], {}
     for seed in seeds:
         sides = [("parent", args.parent), ("change", args.change)]
         if seed % 2 == 0:
             sides.reverse()
-        result = {}
+        result, digest = {}, {}
         for side, checkout in sides:
-            result[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
+            result[side], digest[side] = run_once(
+                checkout, args.workload, seed, args.seconds, args.trace
+            )
             runs.append({"workload": args.workload, "seed": seed, "trace": args.trace,
-                         "side": side, "result": result[side]})
+                         "side": side, "result": result[side], "digests": digest[side]})
             wall = result[side]["metrics"].get("wall_s", {}).get("value")
             print(f"seed {seed} {side}: correct={result[side].get('correct')} wall_s={wall}", flush=True)
         pairs.append((result["parent"], result["change"]))
+        digests[seed] = (digest["parent"], digest["change"])
 
     summary = summarize(pairs, declared)
+    summary["digests"] = compare_digests(digests)
     print(f"{'metric':14s} {'parent':>10s} {'change':>10s} {'ratio':>7s} {'parent IQR':>21s} wins")
     for name, s in summary.items():
-        if name != "failed":
+        if name not in ("failed", "digests"):
             q1, q3 = s["parent_quartiles"]
             print(f"{name:14s} {s['parent_median']:10.4f} {s['change_median']:10.4f} "
                   f"{s['change_over_parent']:7.4f} {q1:10.4f}-{q3:<10.4f} {s['change_wins']}/{s['pairs']}")
     print(f"failed runs: parent {summary['failed']['parent']}, change {summary['failed']['change']}")
+    print(f"digests: {summary['digests']['equal']} pairs equal, differ on seeds {summary['digests']['differ']}")
 
     if args.bench:
         doc = json.loads(args.bench.read_text(encoding="utf-8")) if args.bench.exists() else {}

@@ -18,9 +18,10 @@ against the plain adjoints, which yields H @ v without ever materializing H.
 
 Everything a product reads that does not depend on v (the masked layers,
 layer inputs, ReLU gates, softmax probabilities and plain adjoints) is the
-state of the point (w, mask). :class:`HessianAt` computes it at its first
-product and keeps it, so a Lanczos or Hutchinson loop at one point runs the
-forward pass once; a one-off :func:`hvp` builds the same state for itself.
+state of the point (w, mask). Building a :class:`HessianAt` computes it
+once, into a :class:`Workspace`, so a Lanczos or Hutchinson loop at one
+point runs the forward pass once; a one-off :func:`hvp` builds the operator
+for itself.
 
 Two conventions worth knowing:
 
@@ -116,7 +117,8 @@ class LossContext:
         return grad(self, w, mask, workspace)
 
     def hvp_at(self, w: np.ndarray, mask: np.ndarray) -> HessianAt:
-        """The operator v -> H v at (w, mask); its products share one forward pass."""
+        """The operator v -> H v at (w, mask). Building it runs the forward
+        pass, which its products share; a non-finite one raises here."""
         return HessianAt(self, w, mask)
 
 
@@ -127,7 +129,8 @@ class GradResult:
 
 
 class Workspace:
-    """The arrays one run of gradient steps reuses, for one spec and one mask.
+    """The arrays one run of gradient steps reuses, for one spec and one mask;
+    a :class:`HessianAt` keeps its point's state in one as well.
 
     It holds the masked weights and the gradient, each with its layer views,
     and per batch size each layer's pre-activation, hidden activation, ReLU
@@ -245,15 +248,15 @@ def _to_ce_adjoint(probs: np.ndarray, label_index: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _adjoints(layers, gates, dz: np.ndarray, rows: _RowBuffers | None = None) -> list:
+def _adjoints(layers, gates, dz: np.ndarray, rows: _RowBuffers) -> list:
     """Every layer's adjoint d(loss)/d(pre-activation), first layer first.
 
     ``dz`` is the logits' adjoint; each layer below is ``(dz @ W) * gate``,
-    written into ``rows`` if given.
+    written into ``rows``.
     """
     adjoints = [dz]
     for i in range(len(layers) - 1, 0, -1):
-        dz = np.matmul(dz, layers[i][0], out=None if rows is None else rows.adjoints[i - 1])
+        dz = np.matmul(dz, layers[i][0], out=rows.adjoints[i - 1])
         dz *= gates[i - 1]
         adjoints.append(dz)
     adjoints.reverse()
@@ -301,19 +304,29 @@ def grad(
     return GradResult(loss, ws.gradient)
 
 
-class _Point:
-    """The state at one point (w, mask) that every Hessian-vector product
-    there reads, and the buffers its tangent passes write into."""
+class HessianAt:
+    """The operator v -> H v at one point (w, mask) of a context.
+
+    Building it runs the forward pass, the softmax head and the plain
+    backward pass once, into a :class:`Workspace`; a non-finite forward pass
+    raises here. Every product reuses that state and writes into the
+    operator's tangent buffers. It goes through this module's :func:`hvp`,
+    looked up at call time, so it is counted like a one-off product. Keep
+    the operator (about ten activation-sized arrays) in a loop's local variable.
+    """
 
     def __init__(self, ctx: LossContext, w: np.ndarray, mask: np.ndarray):
-        self.keep = mask.astype(np.float64)  # as in Workspace
-        self.layers = _masked_layers(ctx, w, mask)
-        self.inputs, pre = _forward(ctx, self.layers)
+        self.ctx = ctx
+        self.w = w
+        self.workspace = ws = Workspace(ctx.spec, mask)
+        rows = ws.rows(ctx.n)
+        self.layers = ws.masked_layers(w)
+        self.inputs, pre = _forward(ctx, self.layers, rows)
         _, lse = _softmax_ce(pre[-1], ctx.label_index)
         self.probs = _probs(pre[-1], lse)
-        self.gates = [z > 0.0 for z in pre[:-1]]
+        self.gates = [np.greater(z, 0.0, out=g) for z, g in zip(pre, rows.gates)]
         dz = _to_ce_adjoint(self.probs.copy(), ctx.label_index)
-        self.adjoints = _adjoints(self.layers, self.gates, dz)
+        self.adjoints = _adjoints(self.layers, self.gates, dz, rows)
         self.zero_input = np.zeros_like(ctx.features)  # R{input} of the first layer
         # per layer: R{pre-activation}, then R{dz} of the layer below
         self.rz = [np.empty_like(z) for z in pre]
@@ -321,31 +334,8 @@ class _Point:
         self.tmp = [np.empty_like(z) for z in pre]  # per layer: a sum's second matmul
         self.hw = [np.empty_like(W) for W, _ in self.layers]  # per layer: dz.T @ R{input}
 
-
-class HessianAt:
-    """The operator v -> H v at one point (w, mask) of a context.
-
-    Its first product runs the forward pass, the softmax head and the plain
-    backward pass and keeps the point's state; every later product reuses
-    it, so a loop of products at one point pays for one forward pass. Each
-    product goes through this module's :func:`hvp`, looked up at call time,
-    so it is counted like a one-off product, and a non-finite forward pass
-    raises at the first product. ``w`` and ``mask`` must not change before
-    that product. The state (about ten activation-sized arrays) lives as long
-    as the operator, so keep the operator in a loop's local variable.
-    """
-
-    def __init__(self, ctx: LossContext, w: np.ndarray, mask: np.ndarray):
-        self.ctx = ctx
-        self.w = w
-        self.mask = np.asarray(mask, dtype=bool)
-
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        return hvp(self.ctx, self.w, self.mask, v, self)
-
-    @functools.cached_property
-    def point(self) -> _Point:
-        return _Point(self.ctx, self.w, self.mask)
+        return hvp(self.ctx, self.w, self.workspace.mask, v, self)
 
 
 def hvp(
@@ -361,31 +351,31 @@ def hvp(
     through the forward pass, then through the backward pass (the R-operator),
     so the result is exact to machine precision for the piecewise-smooth loss.
     ``at`` is the operator at (w, mask) whose point state the product reuses;
-    without one the call builds the state for itself.
+    without one the call builds it for itself.
     """
-    point = (HessianAt(ctx, w, mask) if at is None else at).point
-    layers, inputs, gates = point.layers, point.inputs, point.gates
+    at = HessianAt(ctx, w, mask) if at is None else at
+    layers, inputs, gates, keep = at.layers, at.inputs, at.gates, at.workspace.keep
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != point.keep.shape:
-        raise DimensionMismatchError(f"mask length {point.keep.shape} != vector {v.shape}")
-    v = v * point.keep
+    if v.shape != keep.shape:
+        raise DimensionMismatchError(f"mask length {keep.shape} != vector {v.shape}")
+    v = v * keep
     v_layers = split_params(ctx.spec, v)
     last = len(layers) - 1
 
     # tangent forward: R{input} of every layer, ending at R{logits}
     r_inputs = []
-    ra = point.zero_input
+    ra = at.zero_input
     for i, ((W, _), (V, c)) in enumerate(zip(layers, v_layers)):
         r_inputs.append(ra)
-        rz = np.matmul(ra, W.T, out=point.rz[i])
-        rz += np.matmul(inputs[i], V.T, out=point.tmp[i])
+        rz = np.matmul(ra, W.T, out=at.rz[i])
+        rz += np.matmul(inputs[i], V.T, out=at.tmp[i])
         rz += c
         if i < last:
-            ra = np.multiply(rz, gates[i], out=point.ra[i])
+            ra = np.multiply(rz, gates[i], out=at.ra[i])
 
     # tangent reverse sweep R{dz}, against the point's plain adjoints dz
     # R{softmax}: p * (rz - sum(p * rz)), over n
-    probs = point.probs
+    probs = at.probs
     row_dot = np.add.reduce(probs * rz, axis=1, keepdims=True)
     rz -= row_dot
     rdz = np.multiply(probs, rz, out=rz)
@@ -394,13 +384,13 @@ def hvp(
     out = split_params(ctx.spec, flat)
     for i in range(last, -1, -1):
         hW, hb = out[i]
-        dz = point.adjoints[i]
+        dz = at.adjoints[i]
         np.matmul(rdz.T, inputs[i], out=hW)
-        hW += np.matmul(dz.T, r_inputs[i], out=point.hw[i])
+        hW += np.matmul(dz.T, r_inputs[i], out=at.hw[i])
         np.add.reduce(rdz, axis=0, out=hb)
         if i > 0:
-            rdz = np.matmul(rdz, layers[i][0], out=point.rz[i - 1])
-            rdz += np.matmul(dz, v_layers[i][0], out=point.tmp[i - 1])
+            rdz = np.matmul(rdz, layers[i][0], out=at.rz[i - 1])
+            rdz += np.matmul(dz, v_layers[i][0], out=at.tmp[i - 1])
             rdz *= gates[i - 1]
-    flat *= point.keep
+    flat *= keep
     return flat

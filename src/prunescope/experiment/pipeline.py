@@ -26,7 +26,9 @@ checkpoints and writes each level as the generator yields it, with its
 trajectory against the level before. The four ``variant_*`` stages train
 rows of :data:`prunescope.pruning.VARIANT_TABLE` through the same retrain
 step, :func:`prunescope.pruning.variant_run` (``variant_random_prune``
-trains both ``rpn1`` and ``rpn2``).
+trains both ``rpn1`` and ``rpn2``). Training reads the test set as
+``PipelineState.test_ctx``, and one call, :meth:`PipelineState.store_checkpoint`,
+stores each solution with its train loss and test accuracy.
 
 Artifact layout:
 
@@ -54,19 +56,18 @@ from pathlib import Path
 import numpy as np
 
 from .. import landscape
-from ..data import Dataset, analysis_subset, gen_spirals, load_csv, load_idx, save_csv
+from ..data import analysis_subset, gen_spirals, load_csv, load_idx, save_csv
 from ..errors import ArtifactMissingError, ConfigError
 from ..autodiff import LossContext, accuracy_on
 from ..model import NetworkSpec, apply_mask, prunable_coords
 from ..numerics import RngStream
 from ..pruning import (
-    RANDOM_MASK_STREAM,
     VARIANT_TABLE,
     LevelArtifacts,
     imp_dense,
     imp_levels,
+    impact_random_mask,
     prune_by_magnitude,
-    random_mask,
     sparsity,
     variant_run,
 )
@@ -105,8 +106,8 @@ class PipelineState:
     """Loads artifacts lazily so any stage can run against a resumed directory,
     and records the artifacts the running stage writes.
 
-    The datasets and loss contexts are loaded from the data stage's files
-    and built once, on first use.
+    The train and test sets are loss contexts, loaded from the data stage's
+    files and built once, on first use.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: Path):
@@ -134,20 +135,14 @@ class PipelineState:
         return path
 
     @functools.cached_property
-    def train_ds(self) -> Dataset:
-        return load_csv(self._require_file("data/train.csv"))
-
-    @functools.cached_property
-    def test_ds(self) -> Dataset:
-        return load_csv(self._require_file("data/test.csv"))
-
-    @functools.cached_property
     def train_ctx(self) -> LossContext:
-        return LossContext(self.spec, self.train_ds.features, self.train_ds.labels)
+        ds = load_csv(self._require_file("data/train.csv"))
+        return LossContext(self.spec, ds.features, ds.labels)
 
     @functools.cached_property
     def test_ctx(self) -> LossContext:
-        return LossContext(self.spec, self.test_ds.features, self.test_ds.labels)
+        ds = load_csv(self._require_file("data/test.csv"))
+        return LossContext(self.spec, ds.features, ds.labels)
 
     @functools.cached_property
     def analysis_ctx(self) -> LossContext:
@@ -162,36 +157,29 @@ class PipelineState:
             )
         return self._checkpoints[name]
 
-    def store_checkpoint(self, name: str, cp: Checkpoint) -> None:
+    def store_checkpoint(
+        self, name: str, params: np.ndarray, mask: np.ndarray, level: int, role: str, step: int
+    ) -> None:
+        """Save checkpoint ``name``, whose header holds the solution's train
+        loss and test accuracy."""
+        cp = Checkpoint(
+            spec=self.spec,
+            params=params,
+            mask=mask,
+            level=level,
+            role=role,
+            step=step,
+            seed=self.cfg.master_seed,
+            train_loss=self.train_ctx.loss(params, mask),
+            test_accuracy=accuracy_on(self.test_ctx, params, mask),
+        )
         save_checkpoint(self.artifact(f"checkpoints/{name}.ckpt"), cp)
         self._checkpoints[name] = cp
 
 
-def _make_checkpoint(
-    state: PipelineState,
-    params: np.ndarray,
-    mask: np.ndarray,
-    level: int,
-    role: str,
-    step: int,
-) -> Checkpoint:
-    return Checkpoint(
-        spec=state.spec,
-        params=params,
-        mask=mask,
-        level=level,
-        role=role,
-        step=step,
-        seed=state.cfg.master_seed,
-        train_loss=state.train_ctx.loss(params, mask),
-        test_accuracy=accuracy_on(state.test_ctx, params, mask),
-    )
-
-
 def _store_run(state: PipelineState, name: str, art: LevelArtifacts, role: str) -> None:
     """Checkpoint and per-epoch train metrics of one trained solution."""
-    cp = _make_checkpoint(state, art.solution, art.mask, art.level, role, art.record.steps)
-    state.store_checkpoint(name, cp)
+    state.store_checkpoint(name, art.solution, art.mask, art.level, role, art.record.steps)
     rows = zip(art.record.train_loss, art.record.test_acc, art.record.lr)
     write_csv(
         state.artifact(f"metrics/train_{name}.csv"),
@@ -246,12 +234,9 @@ def stage_dense(state: PipelineState) -> None:
             f"training.batch_size {cfg.hp.batch_size} exceeds the "
             f"{state.train_ctx.n} training rows"
         )
-    dense, w_init, w_rewind = imp_dense(state.train_ctx, state.test_ds, cfg)
-    state.store_checkpoint("init", _make_checkpoint(state, w_init, dense.mask, 0, "init", 0))
-    state.store_checkpoint(
-        "rewind",
-        _make_checkpoint(state, w_rewind, dense.mask, 0, "rewind_point", cfg.hp.rewind_step),
-    )
+    dense, w_init, w_rewind = imp_dense(state.train_ctx, state.test_ctx, cfg)
+    state.store_checkpoint("init", w_init, dense.mask, 0, "init", 0)
+    state.store_checkpoint("rewind", w_rewind, dense.mask, 0, "rewind_point", cfg.hp.rewind_step)
     _store_run(state, _level_name(0), dense, "minimum")
     rows = dense.record.epoch_params
     with open(state.artifact(DENSE_SNAPSHOTS), "wb") as fh:  # np.save's format, without stacking
@@ -287,7 +272,7 @@ def stage_imp(state: PipelineState) -> None:
     )
     w_rewind = state.checkpoint("rewind").params
     cfg = state.cfg.imp_config()
-    for art in imp_levels(state.train_ctx, state.test_ds, cfg, prev, w_rewind):
+    for art in imp_levels(state.train_ctx, state.test_ctx, cfg, prev, w_rewind):
         name = _level_name(art.level)
         _store_run(state, name, art, "minimum")
         write_csv(
@@ -310,7 +295,7 @@ def _variant_stage(*names: str) -> Callable[[PipelineState], None]:
             cp = state.checkpoint(_level_name(level))
             source = LevelArtifacts(level, cp.mask, cp.params, TrainRecord())
             art = variant_run(
-                state.train_ctx, state.test_ds, cfg, variant, source, w_rewind, target
+                state.train_ctx, state.test_ctx, cfg, variant, source, w_rewind, target
             )
             _store_run(state, variant.name, art, f"variant:{variant.name}")
 
@@ -351,12 +336,7 @@ def stage_metrics(state: PipelineState) -> None:
         # magnitude round from level L-1 is level L's mask
         prev_name = _level_name(levels - 1)
         prev = state.checkpoint(prev_name)
-        rand = random_mask(
-            prev.mask,
-            state.cfg.imp.prune_fraction_per_round,
-            RngStream(state.cfg.master_seed, RANDOM_MASK_STREAM).derive(3),
-            prunable_coords(state.spec),
-        )
+        rand = impact_random_mask(state.cfg.imp_config(), prev.mask, prunable_coords(state.spec))
         magnitude = state.checkpoint(_level_name(levels)).mask
         before = actx.loss(prev.params, prev.mask)
         impact_rows = []

@@ -184,10 +184,6 @@ def heatmap(path, xs, ys, cells, points, title, cap):
     Path(path).write_text(chart.render(), encoding="utf-8")
 
 
-def _expected_csvs(out: Path) -> list[str]:
-    return [rel for rels in load_manifest(out)["stages"].values() for rel in rels]
-
-
 def emit_plots(artifact_dir) -> list[str]:
     """Render every figure the artifact directory supports; returns relpaths.
 
@@ -202,7 +198,7 @@ def emit_plots(artifact_dir) -> list[str]:
             "analysis/eigen_summary.csv, analysis/radius_summary.csv, "
             "analysis/surface_grid.csv"
         )
-    available = set(_expected_csvs(out))
+    available = {rel for rels in load_manifest(out)["stages"].values() for rel in rels}
     (out / "plots").mkdir(parents=True, exist_ok=True)
     emitted: list[str] = []
 

@@ -33,16 +33,11 @@ def write_csv(path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
+def read_csv_dicts(path) -> list[dict[str, str]]:
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line]
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
-
-
-def read_csv_dicts(path) -> list[dict[str, str]]:
-    header, rows = read_csv(path)
-    return [dict(zip(header, row)) for row in rows]
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
 def write_json(path, obj) -> None:
@@ -70,7 +65,8 @@ MANIFEST_KEYS = {
 
 def load_manifest(out_dir) -> dict:
     """The run's manifest; :class:`ArtifactMissingError` if it is absent,
-    does not parse, or is not an object holding ``MANIFEST_KEYS``."""
+    does not parse, is not an object holding ``MANIFEST_KEYS``, or has a
+    stage that is not a list of strings or a hash that is not a string."""
     path = Path(out_dir) / MANIFEST_NAME
     if not path.exists():
         raise ArtifactMissingError(f"no {MANIFEST_NAME} under {out_dir}")
@@ -82,4 +78,9 @@ def load_manifest(out_dir) -> dict:
         not isinstance(manifest.get(key), kind) for key, kind in MANIFEST_KEYS.items()
     ):
         raise ArtifactMissingError(f"{path} is not a manifest of {', '.join(MANIFEST_KEYS)}")
+    if not all(
+        isinstance(rels, list) and all(isinstance(rel, str) for rel in rels)
+        for rels in manifest["stages"].values()
+    ) or not all(isinstance(digest, str) for digest in manifest["hashes"].values()):
+        raise ArtifactMissingError(f"{path} is not a manifest: a stage or a hash of another shape")
     return manifest

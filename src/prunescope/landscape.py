@@ -68,7 +68,6 @@ class EigenReport:
     """Top positive Ritz values of the masked Hessian, descending."""
 
     eigenvalues: np.ndarray
-    k: int
     lanczos_iters: int
     seed: tuple[int, int]
 
@@ -132,7 +131,7 @@ def top_k_eigenvalues(
         ritz = tridiag_eigenvalues(np.array(alphas), np.array(betas))
         floor = len(alphas) * np.finfo(np.float64).eps * max(ritz[0], 0.0)
         positive = ritz[ritz > floor][:k]
-        report = EigenReport(positive, k, len(alphas), (rng.seed, rng.stream_id))
+        report = EigenReport(positive, len(alphas), (rng.seed, rng.stream_id))
         if not breakdown or positive.size >= k or len(alphas) >= active:
             return report
         if best is None or positive.size > best.eigenvalues.size:
@@ -259,8 +258,6 @@ class RadiusProfile:
     """Basin radii along random directions; censored entries are ``inf``."""
 
     radii: np.ndarray
-    cutoff: float
-    n_directions: int
     center_loss: float
 
     @property
@@ -301,7 +298,7 @@ def mc_radius_profile(
     radii = np.array(parallel_map(one, range(n_directions)))
     if not np.isfinite(radii).any():
         raise DegenerateProfileError("every direction was censored")
-    return RadiusProfile(radii, cutoff, n_directions, center_loss)
+    return RadiusProfile(radii, center_loss)
 
 
 def log_volume(profile: RadiusProfile, n_dims: int) -> float:
@@ -391,7 +388,6 @@ class SurfaceGrid:
     u: np.ndarray
     v: np.ndarray
     points: list[SurfacePoint] = field(default_factory=list)
-    loss_cap: float = 10.0
 
 
 def surface_grid(
@@ -442,9 +438,7 @@ def surface_grid(
     flat = np.array(parallel_map(cell, range(rows * cols)))
     losses = flat.reshape(rows, cols)
     clipped = (losses > loss_cap) | ~np.isfinite(losses)
-    return SurfaceGrid(
-        rows, cols, xs, ys, losses, clipped, origin, u, v, points, loss_cap
-    )
+    return SurfaceGrid(rows, cols, xs, ys, losses, clipped, origin, u, v, points)
 
 
 def geometry(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:

@@ -26,10 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .autodiff import LossContext
-from .data import Dataset
 from .errors import DimensionMismatchError, DivergenceError, MaskExhaustedError
 from .model import (
-    NetworkSpec,
     apply_mask,
     dense_mask,
     init_params,
@@ -182,13 +180,6 @@ def magnitude_mask(
     return _prunes_something(mask, current, prunable)
 
 
-def ranking_slices(spec: NetworkSpec, per_layer: bool) -> list[slice] | None:
-    """The ``layer_slices`` argument of :func:`magnitude_mask` for a
-    ``per_layer`` setting: each layer's weight slice, or None to rank
-    globally."""
-    return [w_sl for w_sl, _, _ in layer_slices(spec)] if per_layer else None
-
-
 def random_mask(
     current: np.ndarray,
     fraction: float | None,
@@ -273,11 +264,21 @@ VARIANT_TABLE = (
     Variant("rpn1", False, "random", False, Strategy.WEIGHT_REWIND, 1_004, 0, 1),
     Variant("rpn2", True, "random", True, Strategy.WEIGHT_REWIND, 1_004, 0, 2),
 )
+# the mask_key of impact_random_mask's draw, which no row above may take
+IMPACT_MASK_KEY = 3
+
+
+def impact_random_mask(cfg: ImpConfig, current: np.ndarray, prunable: np.ndarray) -> np.ndarray:
+    """A random round of ``cfg.prune_fraction_per_round`` from ``current``,
+    drawn from ``RANDOM_MASK_STREAM`` derived by ``IMPACT_MASK_KEY``: the
+    prune-impact analysis weighs it against IMP's magnitude round."""
+    rng = RngStream(cfg.hp.seed, RANDOM_MASK_STREAM).derive(IMPACT_MASK_KEY)
+    return random_mask(current, cfg.prune_fraction_per_round, rng, prunable)
 
 
 def variant_run(
     ctx: LossContext,
-    test: Dataset,
+    test: LossContext,
     cfg: ImpConfig,
     variant: Variant,
     source: LevelArtifacts,
@@ -297,7 +298,8 @@ def variant_run(
     prunable = prunable_coords(ctx.spec)
     fraction = None if variant.to_target else cfg.prune_fraction_per_round
     target = target_sparsity if variant.to_target else None
-    slices = None if variant.to_target else ranking_slices(ctx.spec, cfg.per_layer)
+    per_layer = cfg.per_layer and not variant.to_target
+    slices = [w_sl for w_sl, _, _ in layer_slices(ctx.spec)] if per_layer else None
     if variant.rule == "magnitude":
         mask = magnitude_mask(
             source.solution, source.mask, fraction, prunable, slices, target_sparsity=target
@@ -316,7 +318,7 @@ def variant_run(
 
 
 def imp_dense(
-    ctx: LossContext, test: Dataset, cfg: ImpConfig
+    ctx: LossContext, test: LossContext, cfg: ImpConfig
 ) -> tuple[LevelArtifacts, np.ndarray, np.ndarray]:
     """IMP level 0: train the dense network from a fresh initialization.
 
@@ -337,7 +339,7 @@ def imp_dense(
 
 def imp_levels(
     ctx: LossContext,
-    test: Dataset,
+    test: LossContext,
     cfg: ImpConfig,
     prev: LevelArtifacts,
     w_rewind: np.ndarray,

@@ -4,6 +4,8 @@ A train call owns its optimizer state and is fully deterministic given the
 hyperparameters: data order comes from (seed, epoch)-keyed permutations and
 every update keeps pruned coordinates exactly zero. The returned record also
 carries the rewind-point snapshot that iterative pruning restarts from.
+The test set is a :class:`~prunescope.autodiff.LossContext` as well; the
+record's ``test_acc`` evaluates it at the end of each epoch.
 
 Each step takes its batch through :meth:`LossContext.rows`, which skips
 re-validating rows of the already validated context, and differentiates it
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import LossContext, Workspace, accuracy_on
-from .data import Dataset, epoch_batches
+from .data import epoch_batches
 from .errors import DivergenceError
 from .model import apply_mask
 from .numerics import RngStream
@@ -92,7 +94,7 @@ def lr_at(hp: Hyperparams, step: int, steps_per_epoch: int) -> float:
 
 def train(
     ctx: LossContext,
-    test: Dataset,
+    test: LossContext,
     start: np.ndarray,
     mask: np.ndarray,
     hp: Hyperparams,
@@ -112,7 +114,6 @@ def train(
     w = apply_mask(start, mask)
     velocity = np.zeros_like(w)
     update = np.empty_like(w)
-    test_ctx = LossContext(ctx.spec, test.features, test.labels)
     shuffle = RngStream(hp.seed, SHUFFLE_STREAM)
     record = TrainRecord(epoch_params=[] if record_snapshots else None)
     rewind = w.copy() if hp.rewind_step == 0 else None
@@ -140,7 +141,7 @@ def train(
             if step == hp.rewind_step:
                 rewind = w.copy()
         record.train_loss.append(loss_sum / ctx.n)
-        record.test_acc.append(accuracy_on(test_ctx, w, mask))
+        record.test_acc.append(accuracy_on(test, w, mask))
         record.lr.append(
             lr_at(hp, schedule_offset + epoch * steps_per_epoch, steps_per_epoch)
         )

@@ -115,6 +115,12 @@ def random_net_ctx(seed: int, layer_sizes=(2, 8, 2), n_samples: int = 12):
     raise RuntimeError("could not sample a kink-free configuration")
 
 
+def spirals_context(spec: ps.NetworkSpec, per_class: int, classes: int, noise: float, rng):
+    """A loss context on a fresh spiral dataset, as a test set for training."""
+    ds = ps.gen_spirals(per_class, classes, noise, rng)
+    return ps.LossContext(spec, ds.features, ds.labels)
+
+
 def min_preactivation(ctx, w, mask) -> float:
     """Smallest |pre-activation| over all hidden units and samples."""
     from prunescope.model import split_params

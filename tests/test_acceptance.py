@@ -104,8 +104,8 @@ class TestCriterion1Oracles:
         report("1d", worst <= 1e-6, f"(max abs err {worst:.2e})")
 
     def test_1e_log_volume_identities(self):
-        disk = ps.log_volume(ps.RadiusProfile(np.ones(8), 1.0, 8, 0.0), 2)
-        ball = ps.log_volume(ps.RadiusProfile(np.ones(8), 1.0, 8, 0.0), 3)
+        disk = ps.log_volume(ps.RadiusProfile(np.ones(8), 0.0), 2)
+        ball = ps.log_volume(ps.RadiusProfile(np.ones(8), 0.0), 3)
         err = max(
             abs(disk - math.log(math.pi)), abs(ball - math.log(4 * math.pi / 3))
         )

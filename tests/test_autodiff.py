@@ -130,11 +130,9 @@ class TestGradOracle:
         ctx = ps.LossContext(spec, np.array([[1.0, 1.0]]), np.array([0]))
         W1 = np.array([[-1e308, -1e308], [0.5, 0.5]])
         w = join_params(spec, [(W1, np.zeros(2)), (np.eye(2), np.zeros(2))])
-        hessian = ctx.hvp_at(w, ps.dense_mask(spec))
         with np.errstate(over="ignore"):
-            for _ in range(2):  # a failed forward pass is not kept
-                with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
-                    hessian(np.ones(spec.param_count))
+            with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
+                ctx.hvp_at(w, ps.dense_mask(spec))
 
     def test_finite_entries_whose_sum_overflows_pass(self):
         # both hidden pre-activations are 0.9e308: finite, though their sum
@@ -350,7 +348,7 @@ class TestEvaluationsAreCounted:
             decay_epochs=(1,), decay_factor=0.1, rewind_step=2, seed=5,
         )
         w0 = ps.init_params(spec, ps.RngStream(0, 3))
-        _, _, record = ps.train(ctx, data, w0, ps.dense_mask(spec), hp)
+        _, _, record = ps.train(ctx, ctx, w0, ps.dense_mask(spec), hp)
         assert record.steps == 8
         assert counts["grad"] == record.steps
 
@@ -363,7 +361,7 @@ class TestEvaluationsAreCounted:
             decay_epochs=(), decay_factor=0.1, rewind_step=0, seed=5,
         )
         w0 = ps.init_params(spec, ps.RngStream(0, 3))
-        _, _, record = ps.train(ctx, data, w0, ps.dense_mask(spec), hp)
+        _, _, record = ps.train(ctx, ctx, w0, ps.dense_mask(spec), hp)
         assert record.steps == 3 * 4  # 30 rows: batches of 8, 8, 8 and 6
         assert counts["grad"] == record.steps
 

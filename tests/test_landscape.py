@@ -11,6 +11,7 @@ from helpers import (
     diag_quadratic,
     fd_hessian,
     random_net_ctx,
+    spirals_context,
 )
 
 import prunescope as ps
@@ -85,19 +86,19 @@ class TestTopKEigenvalues:
 
 class TestInverseVolume:
     def test_unit_spectrum(self):
-        rep = EigenReport(np.array([1.0, 1.0, 1.0]), 3, 3, (0, 0))
+        rep = EigenReport(np.array([1.0, 1.0, 1.0]), 3, (0, 0))
         assert ps.inverse_volume(rep, 3) == 0.0
 
     def test_log_identity(self):
-        rep = EigenReport(np.array([math.e**2, math.e]), 2, 2, (0, 0))
+        rep = EigenReport(np.array([math.e**2, math.e]), 2, (0, 0))
         assert ps.inverse_volume(rep, 2) == pytest.approx(3.0, abs=1e-12)
 
     def test_arithmetic(self):
-        rep = EigenReport(np.array([2.0, 4.0, 8.0]), 3, 3, (0, 0))
+        rep = EigenReport(np.array([2.0, 4.0, 8.0]), 3, (0, 0))
         assert ps.inverse_volume(rep, 3) == pytest.approx(math.log(64.0), abs=1e-12)
 
     def test_short_report_flagged(self):
-        rep = EigenReport(np.array([2.0]), 3, 3, (0, 0))
+        rep = EigenReport(np.array([2.0]), 3, (0, 0))
         with pytest.warns(UserWarning):
             value = ps.inverse_volume(rep, 3)
         assert value == pytest.approx(math.log(2.0))
@@ -107,9 +108,9 @@ class TestInverseVolume:
     def test_monotone_in_appended_eigenvalue(self, extra, k):
         gen = np.random.default_rng(k)
         vals = np.sort(gen.uniform(0.5, 5.0, size=k))[::-1]
-        base = ps.inverse_volume(EigenReport(vals, k, k, (0, 0)), k)
+        base = ps.inverse_volume(EigenReport(vals, k, (0, 0)), k)
         appended = np.sort(np.append(vals, extra))[::-1]
-        grown = ps.inverse_volume(EigenReport(appended, k + 1, k, (0, 0)), k + 1)
+        grown = ps.inverse_volume(EigenReport(appended, k, (0, 0)), k + 1)
         if extra > 1.0:
             assert grown > base
         elif extra < 1.0:
@@ -264,27 +265,27 @@ class TestMcRadiusProfile:
 
 class TestLogVolume:
     def test_unit_disk(self):
-        profile = ps.RadiusProfile(np.ones(10), 1.0, 10, 0.0)
+        profile = ps.RadiusProfile(np.ones(10), 0.0)
         assert ps.log_volume(profile, 2) == pytest.approx(math.log(math.pi), abs=1e-10)
 
     def test_interval(self):
-        profile = ps.RadiusProfile(np.full(5, 2.0), 1.0, 5, 0.0)
+        profile = ps.RadiusProfile(np.full(5, 2.0), 0.0)
         assert ps.log_volume(profile, 1) == pytest.approx(math.log(4.0), abs=1e-10)
 
     def test_unit_ball_3d(self):
-        profile = ps.RadiusProfile(np.ones(7), 1.0, 7, 0.0)
+        profile = ps.RadiusProfile(np.ones(7), 0.0)
         assert ps.log_volume(profile, 3) == pytest.approx(
             math.log(4.0 * math.pi / 3.0), abs=1e-10
         )
 
     def test_censored_excluded(self):
         radii = np.array([1.0, math.inf, 1.0])
-        profile = ps.RadiusProfile(radii, 1.0, 3, 0.0)
+        profile = ps.RadiusProfile(radii, 0.0)
         assert profile.n_censored == 1
         assert ps.log_volume(profile, 2) == pytest.approx(math.log(math.pi), abs=1e-10)
 
     def test_no_overflow_in_high_dimension(self):
-        profile = ps.RadiusProfile(np.full(4, 3.0), 1.0, 4, 0.0)
+        profile = ps.RadiusProfile(np.full(4, 3.0), 0.0)
         value = ps.log_volume(profile, 2000)  # 3^2000 would overflow naively
         assert math.isfinite(value)
 
@@ -478,7 +479,7 @@ class TestTaylorPruneEstimate:
         for seed in range(3):
             spec = ps.NetworkSpec((2, 16, 3))
             train_ds = ps.gen_spirals(60, 3, 0.15, ps.RngStream(seed, 1))
-            test_ds = ps.gen_spirals(20, 3, 0.15, ps.RngStream(seed, 2))
+            test_ctx = spirals_context(spec, 20, 3, 0.15, ps.RngStream(seed, 2))
             ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
             hp = ps.Hyperparams(
                 epochs=15, batch_size=16, lr0=0.1, momentum=0.9, weight_decay=1e-4,
@@ -486,7 +487,7 @@ class TestTaylorPruneEstimate:
             )
             w0 = ps.init_params(spec, ps.RngStream(seed, 3))
             mask = ps.dense_mask(spec)
-            w, _, _ = ps.train(ctx, test_ds, w0, mask, hp)
+            w, _, _ = ps.train(ctx, test_ctx, w0, mask, hp)
             prunable = ps.prunable_coords(spec)
             active = int((mask & prunable).sum())
             count = max(1, int(0.01 * active))

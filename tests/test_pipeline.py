@@ -15,7 +15,7 @@ from helpers import criterion2_config
 from prunescope import pruning
 from prunescope.errors import ArtifactMissingError, ConfigError, DivergenceError
 from prunescope.experiment import ExperimentConfig, emit_plots, load_manifest, run_pipeline
-from prunescope.experiment import cli
+from prunescope.experiment import cli, load_checkpoint
 from prunescope.experiment.config import (
     AnalysisSettings,
     ImpSettings,
@@ -199,6 +199,24 @@ class TestStagesReadTheDisk:
         listed = [rel for rels in load_manifest(out)["stages"].values() for rel in rels]
         assert sorted(listed) == sorted(hashes)
 
+    def test_checkpoint_headers_match_the_evaluator(self, fresh):
+        # each header's train loss and test accuracy are the evaluator's on
+        # the data stage's sets, and a trained run's accuracy is its last epoch's
+        out, hashes = fresh
+        spec = ps.NetworkSpec(criterion2_config().network)
+        train, test = (ps.load_csv(out / f"data/{name}.csv") for name in ("train", "test"))
+        train_ctx = ps.LossContext(spec, train.features, train.labels)
+        test_ctx = ps.LossContext(spec, test.features, test.labels)
+        names = [Path(rel).stem for rel in hashes if rel.endswith(".ckpt")]
+        assert {"init", "rewind", "level00", "level02", "rpn2"} <= set(names)
+        for name in names:
+            cp = load_checkpoint(out / f"checkpoints/{name}.ckpt")
+            assert cp.train_loss == train_ctx.loss(cp.params, cp.mask), name
+            assert cp.test_accuracy == ps.accuracy_on(test_ctx, cp.params, cp.mask), name
+            if name not in ("init", "rewind"):
+                last = read_csv_dicts(out / f"metrics/train_{name}.csv")[-1]
+                assert cp.test_accuracy == float(last["test_acc"]), name
+
     @pytest.mark.parametrize("damage", ["deleted", "overwritten"])
     @pytest.mark.parametrize("stage", STAGES)
     def test_damaged_artifact_is_rewritten(self, fresh, tmp_path, stage, damage):
@@ -240,7 +258,10 @@ class TestStagesReadTheDisk:
         assert load_manifest(out)["hashes"] == fresh[1]
         assert _disk_hashes(out, fresh[1]) == fresh[1]
 
-    @pytest.mark.parametrize("damage", ["list", "no complete", "stages a list"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["list", "no complete", "stages a list", "stage an int", "stage of ints", "hash an int"],
+    )
     def test_manifest_of_another_shape_is_recomputed(self, fresh, tmp_path, damage):
         out = self._resumed_copy(fresh, tmp_path)
         manifest = load_manifest(out)
@@ -248,8 +269,14 @@ class TestStagesReadTheDisk:
             manifest = []
         elif damage == "no complete":
             del manifest["complete"]
-        else:
+        elif damage == "stages a list":
             manifest["stages"] = []
+        elif damage == "stage an int":
+            manifest["stages"]["data"] = 5
+        elif damage == "stage of ints":
+            manifest["stages"]["data"] = [5]
+        else:
+            manifest["hashes"]["config.json"] = 5
         (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ArtifactMissingError, match="is not a manifest"):
             load_manifest(out)
@@ -466,16 +493,19 @@ class TestCli:
         assert load_manifest(out)["complete"] == ["data"]
 
     def test_manifest_that_is_not_an_object(self, tmp_path, capsys):
-        # plot reports it; gen-data recomputes the data stage
+        # nor one whose stage lists something other than paths: plot reports
+        # it; gen-data recomputes the data stage
         cfg_path = tmp_path / "cfg.json"
         save_config(criterion2_config(), cfg_path)
         out = tmp_path / "out"
         run_pipeline(criterion2_config(), out, stages=["data"])
-        (out / "manifest.json").write_text("[]\n", encoding="utf-8")
-        assert cli.main(["plot", "--out", str(out)]) == 1
-        assert "error: " in capsys.readouterr().err
-        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert load_manifest(out)["complete"] == ["data"]
+        for stage in (None, 5, [5]):
+            manifest = [] if stage is None else {**load_manifest(out), "stages": {"data": stage}}
+            (out / "manifest.json").write_text(json.dumps(manifest) + "\n", encoding="utf-8")
+            assert cli.main(["plot", "--out", str(out)]) == 1
+            assert "error: " in capsys.readouterr().err
+            assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert load_manifest(out)["complete"] == ["data"]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

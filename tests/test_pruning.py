@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import spirals_context
 
 import prunescope as ps
 from prunescope.errors import MaskExhaustedError
-from prunescope.pruning import VARIANT_TABLE, Strategy, retrain_plan
+from prunescope.pruning import IMPACT_MASK_KEY, VARIANT_TABLE, Strategy, retrain_plan
 
 
 def floor_rule_counts(start: int, fraction: float, rounds: int) -> list[int]:
@@ -162,10 +163,10 @@ class TestProject:
         assert np.count_nonzero(out) <= np.count_nonzero(w)
 
 
-def imp_run(ctx, test_ds, cfg):
+def imp_run(ctx, test_ctx, cfg):
     """Level 0 and every IMP level (``levels``), and the rewind vector (``w_rewind``)."""
-    dense, _, w_rewind = ps.imp_dense(ctx, test_ds, cfg)
-    levels = [dense, *ps.imp_levels(ctx, test_ds, cfg, dense, w_rewind)]
+    dense, _, w_rewind = ps.imp_dense(ctx, test_ctx, cfg)
+    levels = [dense, *ps.imp_levels(ctx, test_ctx, cfg, dense, w_rewind)]
     return SimpleNamespace(levels=levels, w_rewind=w_rewind)
 
 
@@ -194,26 +195,26 @@ def _small_cfg(strategy="weight_rewind", levels=2, seed=0):
 def _small_problem(seed=0):
     spec = ps.NetworkSpec((2, 8, 2))
     train_ds = ps.gen_spirals(16, 2, 0.2, ps.RngStream(seed, 10))
-    test_ds = ps.gen_spirals(8, 2, 0.2, ps.RngStream(seed, 11))
-    return spec, ps.LossContext(spec, train_ds.features, train_ds.labels), test_ds
+    test_ctx = spirals_context(spec, 8, 2, 0.2, ps.RngStream(seed, 11))
+    return spec, ps.LossContext(spec, train_ds.features, train_ds.labels), test_ctx
 
 
 class TestImpRun:
     def test_degenerate_zero_levels(self):
-        spec, ctx, test_ds = _small_problem()
-        result = imp_run(ctx, test_ds, _small_cfg(levels=0))
+        spec, ctx, test_ctx = _small_problem()
+        result = imp_run(ctx, test_ctx, _small_cfg(levels=0))
         assert len(result.levels) == 1
         assert result.levels[0].mask.all()
 
     def test_sparsity_strictly_increases(self):
-        spec, ctx, test_ds = _small_problem(1)
-        result = imp_run(ctx, test_ds, _small_cfg(levels=3))
+        spec, ctx, test_ctx = _small_problem(1)
+        result = imp_run(ctx, test_ctx, _small_cfg(levels=3))
         sparsities = [ps.sparsity(l.mask) for l in result.levels]
         assert all(b > a for a, b in zip(sparsities, sparsities[1:]))
 
     def test_mask_monotone_and_solutions_masked(self):
-        spec, ctx, test_ds = _small_problem(2)
-        result = imp_run(ctx, test_ds, _small_cfg(levels=3))
+        spec, ctx, test_ctx = _small_problem(2)
+        result = imp_run(ctx, test_ctx, _small_cfg(levels=3))
         for prev, cur in zip(result.levels, result.levels[1:]):
             assert not (cur.mask & ~prev.mask).any()
         for level in result.levels:
@@ -222,9 +223,9 @@ class TestImpRun:
             )
 
     def test_weight_rewind_start_agrees_with_rewind_point(self):
-        spec, ctx, test_ds = _small_problem(3)
+        spec, ctx, test_ctx = _small_problem(3)
         cfg = _small_cfg(levels=1)
-        result = imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ctx, cfg)
         mask1 = result.levels[1].mask
         start, _, offset = retrain_plan(
             cfg, 1, 1, mask1, result.levels[0].solution, result.w_rewind, ctx
@@ -236,26 +237,26 @@ class TestImpRun:
         "strategy", ["weight_rewind", "lr_rewind", "fine_tune", "random_reinit"]
     )
     def test_all_strategies_run(self, strategy):
-        spec, ctx, test_ds = _small_problem(4)
-        result = imp_run(ctx, test_ds, _small_cfg(strategy=strategy, levels=1))
+        spec, ctx, test_ctx = _small_problem(4)
+        result = imp_run(ctx, test_ctx, _small_cfg(strategy=strategy, levels=1))
         assert len(result.levels) == 2
 
     def test_deterministic(self):
-        spec, ctx, test_ds = _small_problem(5)
-        a = imp_run(ctx, test_ds, _small_cfg(levels=2, seed=9))
-        b = imp_run(ctx, test_ds, _small_cfg(levels=2, seed=9))
+        spec, ctx, test_ctx = _small_problem(5)
+        a = imp_run(ctx, test_ctx, _small_cfg(levels=2, seed=9))
+        b = imp_run(ctx, test_ctx, _small_cfg(levels=2, seed=9))
         for la, lb in zip(a.levels, b.levels):
             np.testing.assert_array_equal(la.solution, lb.solution)
 
 
     def test_continued_loop_matches_one_run(self):
-        spec, ctx, test_ds = _small_problem(11)
+        spec, ctx, test_ctx = _small_problem(11)
         cfg = _small_cfg(levels=3, seed=4)
-        whole = imp_run(ctx, test_ds, cfg)
+        whole = imp_run(ctx, test_ctx, cfg)
         # level 1 rebuilt from its vectors alone, as the pipeline rebuilds it from disk
         one = whole.levels[1]
         start = ps.LevelArtifacts(1, one.mask.copy(), one.solution.copy(), ps.TrainRecord())
-        levels = ps.imp_levels(ctx, test_ds, cfg, start, whole.w_rewind.copy())
+        levels = ps.imp_levels(ctx, test_ctx, cfg, start, whole.w_rewind.copy())
         rest = [next(levels)]  # each level is yielded as soon as it is trained
         assert rest[0].level == 2
         rest += levels
@@ -268,23 +269,29 @@ class TestImpRun:
         spec = ps.NetworkSpec((2, 2, 3))
         assert int(ps.prunable_coords(spec).sum()) == 10
         train_ds = ps.gen_spirals(8, 3, 0.2, ps.RngStream(0, 10))
-        test_ds = ps.gen_spirals(4, 3, 0.2, ps.RngStream(0, 11))
+        test_ctx = spirals_context(spec, 4, 3, 0.2, ps.RngStream(0, 11))
         ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
         # floor(0.05 * 10) = 0: the first round would retrain the dense mask
         cfg = replace(_small_cfg(levels=2), prune_fraction_per_round=0.05)
         with pytest.raises(MaskExhaustedError, match="level 1"):
-            imp_run(ctx, test_ds, cfg)
+            imp_run(ctx, test_ctx, cfg)
 
 
 _VARIANT = {variant.name: variant for variant in VARIANT_TABLE}
 
 
-def _variant(name, ctx, test_ds, cfg, result, source_level=0):
+def _variant(name, ctx, test_ctx, cfg, result, source_level=0):
     """Run one comparison row against an IMP result, targeting its last level."""
     return ps.variant_run(
-        ctx, test_ds, cfg, _VARIANT[name], result.levels[source_level],
+        ctx, test_ctx, cfg, _VARIANT[name], result.levels[source_level],
         result.w_rewind, ps.sparsity(result.levels[-1].mask),
     )
+
+
+def test_random_mask_keys_are_distinct():
+    # every random mask drawn from RANDOM_MASK_STREAM has a key of its own
+    keys = [v.mask_key for v in VARIANT_TABLE if v.rule == "random"] + [IMPACT_MASK_KEY]
+    assert len(set(keys)) == len(keys)
 
 
 class TestVariantRuns:
@@ -296,51 +303,51 @@ class TestVariantRuns:
         assert [v.source_level(10) for v in VARIANT_TABLE] == [0, 9, 9, 9, 0]
 
     def test_one_shot_mask_matches_single_round_at_one_round_target(self):
-        spec, ctx, test_ds = _small_problem(6)
+        spec, ctx, test_ctx = _small_problem(6)
         cfg = _small_cfg(levels=1)
-        result = imp_run(ctx, test_ds, cfg)
-        art = _variant("one_shot", ctx, test_ds, cfg, result)
+        result = imp_run(ctx, test_ctx, cfg)
+        art = _variant("one_shot", ctx, test_ctx, cfg, result)
         np.testing.assert_array_equal(art.mask, result.levels[1].mask)
         assert art.level == 1
 
     def test_one_shot_sparsity_matches_deeper_target(self):
-        spec, ctx, test_ds = _small_problem(7)
+        spec, ctx, test_ctx = _small_problem(7)
         cfg = _small_cfg(levels=3)
-        result = imp_run(ctx, test_ds, cfg)
-        art = _variant("one_shot", ctx, test_ds, cfg, result)
+        result = imp_run(ctx, test_ctx, cfg)
+        art = _variant("one_shot", ctx, test_ctx, cfg, result)
         assert int(art.mask.sum()) == int(result.levels[3].mask.sum())
 
     def test_random_pruned_fraction_matches_level_counts(self):
-        spec, ctx, test_ds = _small_problem(8)
+        spec, ctx, test_ctx = _small_problem(8)
         cfg = _small_cfg(levels=1)
-        result = imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ctx, cfg)
         for name in ("rpn1", "rpn2"):
-            art = _variant(name, ctx, test_ds, cfg, result)
+            art = _variant(name, ctx, test_ctx, cfg, result)
             assert int(art.mask.sum()) == int(result.levels[1].mask.sum())
 
     def test_random_pruned_deterministic_mask(self):
-        spec, ctx, test_ds = _small_problem(9)
+        spec, ctx, test_ctx = _small_problem(9)
         cfg = _small_cfg(levels=1)
-        result = imp_run(ctx, test_ds, cfg)
-        a = _variant("rpn1", ctx, test_ds, cfg, result)
-        b = _variant("rpn1", ctx, test_ds, cfg, result)
+        result = imp_run(ctx, test_ctx, cfg)
+        a = _variant("rpn1", ctx, test_ctx, cfg, result)
+        b = _variant("rpn1", ctx, test_ctx, cfg, result)
         np.testing.assert_array_equal(a.mask, b.mask)
         # rpn1 and rpn2 draw from different mask streams
-        c = _variant("rpn2", ctx, test_ds, cfg, result)
+        c = _variant("rpn2", ctx, test_ctx, cfg, result)
         assert not np.array_equal(a.mask, c.mask)
 
     def test_fine_tune_and_reinit_masks_match_magnitude_round(self):
-        spec, ctx, test_ds = _small_problem(10)
+        spec, ctx, test_ctx = _small_problem(10)
         cfg = _small_cfg(levels=1)
-        result = imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ctx, cfg)
         expected = ps.magnitude_mask(
             result.levels[0].solution,
             result.levels[0].mask,
             0.2,
             ps.prunable_coords(spec),
         )
-        ft = _variant("fine_tune", ctx, test_ds, cfg, result)
-        ri = _variant("random_reinit", ctx, test_ds, cfg, result)
+        ft = _variant("fine_tune", ctx, test_ctx, cfg, result)
+        ri = _variant("random_reinit", ctx, test_ctx, cfg, result)
         np.testing.assert_array_equal(ft.mask, expected)
         np.testing.assert_array_equal(ri.mask, expected)
 
@@ -348,13 +355,13 @@ class TestVariantRuns:
     def test_one_round_that_prunes_nothing_raises(self, name):
         spec = ps.NetworkSpec((2, 2, 3))
         train_ds = ps.gen_spirals(8, 3, 0.2, ps.RngStream(0, 10))
-        test_ds = ps.gen_spirals(4, 3, 0.2, ps.RngStream(0, 11))
+        test_ctx = spirals_context(spec, 4, 3, 0.2, ps.RngStream(0, 11))
         ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
         # floor(0.05 * 10) = 0: one round off the dense mask prunes nothing
         cfg = replace(_small_cfg(levels=0), prune_fraction_per_round=0.05)
-        result = imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ctx, cfg)
         with pytest.raises(MaskExhaustedError, match="prunes none of 10"):
-            _variant(name, ctx, test_ds, cfg, result)
+            _variant(name, ctx, test_ctx, cfg, result)
 
 
 class TestPerLayerPruning:
@@ -380,18 +387,18 @@ class TestPerLayerPruning:
 
         spec = ps.NetworkSpec((2, 16, 16, 3))
         train_ds = ps.gen_spirals(16, 3, 0.2, ps.RngStream(3, 10))
-        test_ds = ps.gen_spirals(8, 3, 0.2, ps.RngStream(3, 11))
+        test_ctx = spirals_context(spec, 8, 3, 0.2, ps.RngStream(3, 11))
         ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
         cfg = replace(_small_cfg(levels=2), per_layer=True)
-        result = imp_run(ctx, test_ds, cfg)
+        result = imp_run(ctx, test_ctx, cfg)
         level2 = result.levels[2].mask
         kept = [int(level2[w_sl].sum()) for w_sl, _, _ in layer_slices(spec)]
         assert kept == [21, 164, 32]  # 32, 256, 48 weights, two 20% rounds each
         for name in ("fine_tune", "random_reinit"):
-            art = _variant(name, ctx, test_ds, cfg, result, source_level=1)
+            art = _variant(name, ctx, test_ctx, cfg, result, source_level=1)
             np.testing.assert_array_equal(art.mask, level2)
         # the to-target rows still rank globally, to level 2's overall count
-        one_shot = _variant("one_shot", ctx, test_ds, cfg, result)
+        one_shot = _variant("one_shot", ctx, test_ctx, cfg, result)
         globally = ps.magnitude_mask(
             result.levels[0].solution, result.levels[0].mask, None,
             ps.prunable_coords(spec), target_sparsity=ps.sparsity(level2),

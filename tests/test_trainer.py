@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import spirals_context
 
 import prunescope as ps
 from prunescope import Hyperparams, lr_at, train
@@ -28,10 +29,10 @@ def _hp(**overrides):
 def _setup(seed=0, n_per_class=16):
     spec = ps.NetworkSpec((2, 8, 2))
     train_ds = ps.gen_spirals(n_per_class, 2, 0.2, ps.RngStream(seed, 1))
-    test_ds = ps.gen_spirals(8, 2, 0.2, ps.RngStream(seed, 2))
+    test_ctx = spirals_context(spec, 8, 2, 0.2, ps.RngStream(seed, 2))
     ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
     w0 = ps.init_params(spec, ps.RngStream(seed, 3))
-    return spec, ctx, test_ds, w0
+    return spec, ctx, test_ctx, w0
 
 
 class TestLrAt:
@@ -82,13 +83,13 @@ class TestSgdSteps:
 
     def test_train_matches_manual_update(self):
         # one full-batch epoch, momentum 0: w1 = w0 - lr * (g + wd * w0)
-        spec, ctx, test_ds, w0 = _setup(7, n_per_class=4)
+        spec, ctx, test_ctx, w0 = _setup(7, n_per_class=4)
         mask = ps.dense_mask(spec)
         hp = _hp(
             epochs=1, batch_size=ctx.n, lr0=0.3, momentum=0.0,
             weight_decay=0.01, decay_epochs=(), rewind_step=0,
         )
-        final, _, _ = train(ctx, test_ds, w0, mask, hp)
+        final, _, _ = train(ctx, test_ctx, w0, mask, hp)
         g = ps.grad(ctx, w0, mask).gradient
         expected = (w0 - 0.3 * (g + 0.01 * w0)) * mask
         # the full batch is still a permutation, so the mean's summation
@@ -98,22 +99,22 @@ class TestSgdSteps:
 
 class TestTrain:
     def test_bit_identical_given_seed(self):
-        spec, ctx, test_ds, w0 = _setup()
+        spec, ctx, test_ctx, w0 = _setup()
         mask = ps.dense_mask(spec)
-        f1, r1, rec1 = train(ctx, test_ds, w0, mask, _hp())
-        f2, r2, rec2 = train(ctx, test_ds, w0, mask, _hp())
+        f1, r1, rec1 = train(ctx, test_ctx, w0, mask, _hp())
+        f2, r2, rec2 = train(ctx, test_ctx, w0, mask, _hp())
         np.testing.assert_array_equal(f1, f2)
         np.testing.assert_array_equal(r1, r2)
         assert rec1.train_loss == rec2.train_loss
 
     def test_masked_coordinates_stay_zero(self):
-        spec, ctx, test_ds, w0 = _setup(1)
+        spec, ctx, test_ctx, w0 = _setup(1)
         mask = ps.dense_mask(spec)
         gen = np.random.default_rng(0)
         weight_coords = np.flatnonzero(ps.prunable_coords(spec))
         mask[gen.choice(weight_coords, size=10, replace=False)] = False
         final, rewind, record = train(
-            ctx, test_ds, w0, mask, _hp(), record_snapshots=True
+            ctx, test_ctx, w0, mask, _hp(), record_snapshots=True
         )
         assert np.all(final[~mask] == 0.0)
         assert np.all(rewind[~mask] == 0.0)
@@ -121,49 +122,49 @@ class TestTrain:
             assert np.all(snapshot[~mask] == 0.0)
 
     def test_loss_decreases(self):
-        spec, ctx, test_ds, w0 = _setup(2, n_per_class=32)
+        spec, ctx, test_ctx, w0 = _setup(2, n_per_class=32)
         hp = _hp(epochs=8, decay_epochs=(6,), lr0=0.05, rewind_step=3)
-        _, _, record = train(ctx, test_ds, w0, ps.dense_mask(spec), hp)
+        _, _, record = train(ctx, test_ctx, w0, ps.dense_mask(spec), hp)
         assert record.train_loss[-1] < record.train_loss[0]
 
     def test_rewind_snapshot_position(self):
-        spec, ctx, test_ds, w0 = _setup(3)
+        spec, ctx, test_ctx, w0 = _setup(3)
         mask = ps.dense_mask(spec)
         hp = _hp(rewind_step=0)
-        _, rewind, _ = train(ctx, test_ds, w0, mask, hp)
+        _, rewind, _ = train(ctx, test_ctx, w0, mask, hp)
         np.testing.assert_array_equal(rewind, ps.apply_mask(w0, mask))
 
     def test_record_lengths(self):
-        spec, ctx, test_ds, w0 = _setup(4)
+        spec, ctx, test_ctx, w0 = _setup(4)
         hp = _hp(epochs=4, decay_epochs=(3,))
-        _, _, record = train(ctx, test_ds, w0, ps.dense_mask(spec), hp)
+        _, _, record = train(ctx, test_ctx, w0, ps.dense_mask(spec), hp)
         assert len(record.train_loss) == 4
         assert len(record.test_acc) == 4
         assert record.steps == 4 * int(np.ceil(ctx.n / hp.batch_size))
 
     def test_record_lr_follows_offset_schedule(self):
-        spec, ctx, test_ds, w0 = _setup(4)
+        spec, ctx, test_ctx, w0 = _setup(4)
         hp = _hp(epochs=4, decay_epochs=(1, 3), decay_factor=0.5)
         spe = int(np.ceil(ctx.n / hp.batch_size))
         offset = spe + 3  # mid-way through schedule epoch 1
         _, _, record = train(
-            ctx, test_ds, w0, ps.dense_mask(spec), hp, schedule_offset=offset
+            ctx, test_ctx, w0, ps.dense_mask(spec), hp, schedule_offset=offset
         )
         assert record.lr == [lr_at(hp, offset + e * spe, spe) for e in range(4)]
         # schedule epochs 1..4 have passed one, one, two and two decays
         assert record.lr == [0.05, 0.05, 0.025, 0.025]
 
     def test_schedule_offset_changes_updates(self):
-        spec, ctx, test_ds, w0 = _setup(5)
+        spec, ctx, test_ctx, w0 = _setup(5)
         mask = ps.dense_mask(spec)
         hp = _hp(epochs=2, decay_epochs=(1,))
-        a, _, _ = train(ctx, test_ds, w0, mask, hp, schedule_offset=0)
+        a, _, _ = train(ctx, test_ctx, w0, mask, hp, schedule_offset=0)
         spe = int(np.ceil(ctx.n / hp.batch_size))
-        b, _, _ = train(ctx, test_ds, w0, mask, hp, schedule_offset=spe)
+        b, _, _ = train(ctx, test_ctx, w0, mask, hp, schedule_offset=spe)
         assert not np.array_equal(a, b)
 
     def test_divergence_raises(self):
-        spec, ctx, test_ds, _ = _setup(6)
+        spec, ctx, test_ctx, _ = _setup(6)
         w_bad = np.full(spec.param_count, 30.0)
         # lr * weight_decay >> 1 multiplies the weights every step
         hp = _hp(
@@ -171,7 +172,7 @@ class TestTrain:
             momentum=0.0, rewind_step=0,
         )
         with pytest.raises(ps.errors.DivergenceError) as excinfo:
-            train(ctx, test_ds, w_bad, ps.dense_mask(spec), hp)
+            train(ctx, test_ctx, w_bad, ps.dense_mask(spec), hp)
         assert excinfo.value.step >= 0
 
 
@@ -181,7 +182,6 @@ def reference_train(ctx, test, start, mask, hp, schedule_offset):
     spe = math.ceil(ctx.n / hp.batch_size)
     w = ps.apply_mask(start, mask)
     velocity = np.zeros_like(w)
-    test_ctx = ps.LossContext(ctx.spec, test.features, test.labels)
     shuffle = ps.RngStream(hp.seed, SHUFFLE_STREAM)
     rewind, snapshots, losses, accs = None, [], [], []
     step = 0
@@ -199,7 +199,7 @@ def reference_train(ctx, test, start, mask, hp, schedule_offset):
             if step == hp.rewind_step:
                 rewind = w.copy()
         losses.append(loss_sum / ctx.n)
-        accs.append(ps.accuracy_on(test_ctx, w, mask))
+        accs.append(ps.accuracy_on(test, w, mask))
         snapshots.append(w.copy())
     return w, rewind, losses, accs, snapshots
 
@@ -208,7 +208,7 @@ class TestInPlaceUpdate:
     def test_masked_offset_run_matches_reference_bytes(self):
         spec = ps.NetworkSpec((2, 24, 24, 3))
         train_ds = ps.gen_spirals(40, 3, 0.15, ps.RngStream(8, 1))
-        test_ds = ps.gen_spirals(20, 3, 0.15, ps.RngStream(8, 2))
+        test_ctx = spirals_context(spec, 20, 3, 0.15, ps.RngStream(8, 2))
         ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
         w0 = ps.init_params(spec, ps.RngStream(8, 3))
         gen = np.random.default_rng(8)
@@ -217,10 +217,10 @@ class TestInPlaceUpdate:
         # crosses both decays
         hp = _hp(epochs=16, batch_size=8, decay_epochs=(14, 15), rewind_step=7)
         final, rewind, record = train(
-            ctx, test_ds, w0, mask, hp, schedule_offset=200, record_snapshots=True
+            ctx, test_ctx, w0, mask, hp, schedule_offset=200, record_snapshots=True
         )
         ref_final, ref_rewind, losses, accs, snapshots = reference_train(
-            ctx, test_ds, w0, mask, hp, 200
+            ctx, test_ctx, w0, mask, hp, 200
         )
         assert final.tobytes() == ref_final.tobytes()
         assert rewind.tobytes() == ref_rewind.tobytes()
@@ -236,17 +236,17 @@ class TestInPlaceUpdate:
         # the run's workspace holds buffers for two batch sizes
         spec = ps.NetworkSpec((2, 24, 24, 3))
         train_ds = ps.gen_spirals(40, 3, 0.15, ps.RngStream(9, 1))
-        test_ds = ps.gen_spirals(20, 3, 0.15, ps.RngStream(9, 2))
+        test_ctx = spirals_context(spec, 20, 3, 0.15, ps.RngStream(9, 2))
         ctx = ps.LossContext(spec, train_ds.features, train_ds.labels)
         w0 = ps.init_params(spec, ps.RngStream(9, 3))
         gen = np.random.default_rng(9)
         mask = (gen.random(spec.param_count) < 0.5) | ~ps.prunable_coords(spec)
         hp = _hp(epochs=4, batch_size=7, decay_epochs=(2,), rewind_step=20)
         final, rewind, record = train(
-            ctx, test_ds, w0, mask, hp, schedule_offset=5, record_snapshots=True
+            ctx, test_ctx, w0, mask, hp, schedule_offset=5, record_snapshots=True
         )
         ref_final, ref_rewind, losses, accs, snapshots = reference_train(
-            ctx, test_ds, w0, mask, hp, 5
+            ctx, test_ctx, w0, mask, hp, 5
         )
         assert record.steps == 4 * 18
         assert final.tobytes() == ref_final.tobytes()
