@@ -10,7 +10,9 @@ or times every evaluation made through a context.
 
 The network is a fixed chain of (W, b) layers, so differentiation is written
 out as straight-line passes over it. One forward pass keeps each layer's
-input and pre-activation; one backward pass turns the logits' adjoint into
+input and output. A hidden layer's ReLU overwrites its pre-activation in
+place, and the ReLU gates are read back from the activation (``a > 0``
+exactly where ``z > 0``). One backward pass turns the logits' adjoint into
 each layer's adjoint ``dz``, and the gradient is ``dz.T @ input`` per layer.
 Hessian-vector products use the R-operator (Pearlmutter, 1994): push a
 tangent through the forward pass, then run the backward pass's tangent
@@ -33,7 +35,10 @@ Two conventions worth knowing:
 Training calls :func:`grad` once per SGD step, so the passes run as bare
 numpy, and a run passes one :class:`Workspace` to every step: the masked
 weights, the activations, gates, adjoints and the gradient are written into
-its buffers instead of being allocated. Layers are views of a flat vector
+its buffers instead of being allocated. Forward-only evaluations
+(:func:`forward_loss`, :func:`accuracy_on`) take a workspace the same way,
+so a loop of losses at one mask and one slice, such as an IMP level's
+trajectory, allocates its buffers once. Layers are views of a flat vector
 through the spec's cached layout (:func:`~prunescope.model.split_params`).
 Each in-place operation computes the same expression, with the same operands
 in the same order, as the plain form (``a @ W.T + b``, ``(dz @ W) * gate``,
@@ -107,9 +112,10 @@ class LossContext:
         return np.arange(self.n) * self.spec.output_size + self.labels
 
     # The protocol of the landscape probes, over (w, mask).
-    def loss(self, w: np.ndarray, mask: np.ndarray) -> float:
-        """Mean softmax cross-entropy of the masked network over the slice."""
-        return forward_loss(self, w, mask)
+    def loss(self, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None) -> float:
+        """Mean softmax cross-entropy of the masked network over the slice; the
+        pass writes into ``workspace`` (built for this very ``mask``) if given."""
+        return forward_loss(self, w, mask, workspace)
 
     def grad(
         self, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None
@@ -130,14 +136,17 @@ class GradResult:
 
 class Workspace:
     """The arrays one run of gradient steps reuses, for one spec and one mask;
-    a :class:`HessianAt` keeps its point's state in one as well.
+    a :class:`HessianAt` keeps its point's state in one as well, and a loop
+    of forward-only evaluations (:func:`forward_loss`, :func:`accuracy_on`)
+    can write into one.
 
-    It holds the masked weights and the gradient, each with its layer views,
-    and per batch size each layer's pre-activation, hidden activation, ReLU
-    gate and adjoint, and the flat offset of each row's first logit (the
-    label offsets). A training run meets at most two batch sizes: its own and
-    the epoch's short last batch. :func:`grad` returns ``gradient`` itself,
-    so the next call with the same workspace overwrites the result.
+    It holds the masked weights with their layer views, and per batch size
+    the row buffers (:class:`_RowBuffers`). The gradient and its layer views
+    are made on :func:`grad`'s first call, so a workspace that only runs
+    forward passes or HVPs never holds them. A training run meets at most
+    two batch sizes: its own and the epoch's short last batch. :func:`grad`
+    returns ``gradient`` itself, so the next call with the same workspace
+    overwrites the result.
 
     ``keep`` is the bool ``mask`` as 0.0/1.0 floats. Multiplying by it
     rounds exactly as multiplying by the mask, since numpy casts the bools
@@ -154,9 +163,15 @@ class Workspace:
         self.keep = self.mask.astype(np.float64)
         self.weights = np.empty(spec.param_count)
         self.layers = split_params(spec, self.weights)
-        self.gradient = np.empty(spec.param_count)
-        self.grads = split_params(spec, self.gradient)
         self._rows: dict[int, _RowBuffers] = {}
+
+    @functools.cached_property
+    def gradient(self) -> np.ndarray:
+        return np.empty(self.spec.param_count)
+
+    @functools.cached_property
+    def grads(self) -> list:
+        return split_params(self.spec, self.gradient)
 
     def masked_layers(self, w: np.ndarray) -> list:
         """The layers of ``mask * w``, written into ``weights``."""
@@ -174,12 +189,13 @@ class Workspace:
 
 
 class _RowBuffers:
-    """A workspace's per-layer arrays for batches of ``n`` rows."""
+    """A workspace's per-layer arrays for batches of ``n`` rows: each layer's
+    pre-activation, which a hidden layer's ReLU overwrites with its
+    activation, each hidden layer's gate and adjoint, and the label offsets."""
 
     def __init__(self, spec: NetworkSpec, n: int):
         widths = spec.layer_sizes[1:]
         self.pre = [np.empty((n, k)) for k in widths]
-        self.act = [np.empty((n, k)) for k in widths[:-1]]
         self.gates = [np.empty((n, k), dtype=bool) for k in widths[:-1]]
         self.adjoints = [np.empty((n, k)) for k in widths[:-1]]
         self.offsets = np.arange(n) * spec.output_size
@@ -194,12 +210,14 @@ def _check_finite(x: np.ndarray, node: str) -> None:
 
 
 def _forward(ctx: LossContext, layers, rows: _RowBuffers | None = None):
-    """Each layer's input and pre-activation, written into ``rows`` if given.
+    """Each layer's input and output, written into ``rows`` if given.
 
-    The last pre-activation is the logits; hidden layers apply ReLU.
+    The last output is the logits. A hidden layer's ReLU overwrites its
+    pre-activation, so its output is the next layer's input, and ``a > 0``
+    holds exactly where the pre-activation was positive (its ReLU gate).
     """
     inputs: list[np.ndarray] = []
-    pre: list[np.ndarray] = []
+    out: list[np.ndarray] = []
     a = ctx.features
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
@@ -207,14 +225,25 @@ def _forward(ctx: LossContext, layers, rows: _RowBuffers | None = None):
         z += b
         _check_finite(z, f"affine[{i}]")
         inputs.append(a)
-        pre.append(z)
+        out.append(z)
         if i < last:
-            a = np.maximum(z, 0.0, out=None if rows is None else rows.act[i])
-    return inputs, pre
+            a = np.maximum(z, 0.0, out=z)
+    return inputs, out
 
 
 def _masked_layers(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
     return split_params(ctx.spec, apply_mask(w, mask))
+
+
+def _layers_and_rows(ctx: LossContext, w, mask, workspace: Workspace | None):
+    """The masked layers of ``w`` and the row buffers of ``workspace``, which
+    must have been built for this very ``mask`` object (``None`` without one:
+    the pass allocates)."""
+    if workspace is None:
+        return _masked_layers(ctx, w, mask), None
+    if mask is not workspace.mask:
+        raise ValueError("the workspace was built for another mask")
+    return workspace.masked_layers(w), workspace.rows(ctx.n)
 
 
 def _softmax_ce(logits: np.ndarray, label_index: np.ndarray) -> tuple[float, np.ndarray]:
@@ -222,7 +251,7 @@ def _softmax_ce(logits: np.ndarray, label_index: np.ndarray) -> tuple[float, np.
 
     Callers that need the softmax probabilities form ``exp(logits - lse)``.
     """
-    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    zmax = _row_max(logits)
     shifted = logits - zmax
     np.exp(shifted, out=shifted)
     lse = np.add.reduce(shifted, axis=1, keepdims=True)
@@ -233,6 +262,17 @@ def _softmax_ce(logits: np.ndarray, label_index: np.ndarray) -> tuple[float, np.
     if not math.isfinite(loss):
         raise NumericalFailureError("non-finite value produced by node softmax_ce")
     return loss, lse
+
+
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """Each row's largest logit as an (n, 1) column, taken over the class
+    columns: exact in any order, and much faster than ``np.maximum.reduce``
+    over a short axis. (A column loop would not do for the class sum: numpy
+    sums 8 or more classes pairwise.)"""
+    zmax = np.maximum(logits[:, :1], logits[:, 1:2])
+    for c in range(2, logits.shape[1]):
+        np.maximum(zmax, logits[:, c : c + 1], out=zmax)
+    return zmax
 
 
 def _probs(logits: np.ndarray, lse: np.ndarray) -> np.ndarray:
@@ -263,18 +303,24 @@ def _adjoints(layers, gates, dz: np.ndarray, rows: _RowBuffers) -> list:
     return adjoints
 
 
-def forward_loss(ctx: LossContext, w: np.ndarray, mask: np.ndarray) -> float:
-    _, pre = _forward(ctx, _masked_layers(ctx, w, mask))
-    return _softmax_ce(pre[-1], ctx.label_index)[0]
+def forward_loss(
+    ctx: LossContext, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None
+) -> float:
+    """Mean cross-entropy at ``mask * w``, written into ``workspace`` if given."""
+    _, out = _forward(ctx, *_layers_and_rows(ctx, w, mask, workspace))
+    return _softmax_ce(out[-1], ctx.label_index)[0]
 
 
-def accuracy_on(ctx: LossContext, w: np.ndarray, m: np.ndarray) -> float:
+def accuracy_on(
+    ctx: LossContext, w: np.ndarray, m: np.ndarray, workspace: Workspace | None = None
+) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
-    Ties resolve to the lowest class index (numpy argmax convention).
+    Ties resolve to the lowest class index (numpy argmax convention). The
+    pass writes into ``workspace`` if given.
     """
-    _, pre = _forward(ctx, _masked_layers(ctx, w, m))
-    predictions = np.argmax(pre[-1], axis=1)
+    _, out = _forward(ctx, *_layers_and_rows(ctx, w, m, workspace))
+    predictions = np.argmax(out[-1], axis=1)
     return float(np.mean(predictions == ctx.labels))
 
 
@@ -287,21 +333,20 @@ def grad(
     very ``mask`` object, and whose ``gradient`` is the returned vector;
     without one the call builds its own.
     """
-    ws = Workspace(ctx.spec, mask) if workspace is None else workspace
-    if workspace is not None and mask is not ws.mask:
-        raise ValueError("the workspace was built for another mask")
-    rows = ws.rows(ctx.n)
-    layers = ws.masked_layers(w)
-    inputs, pre = _forward(ctx, layers, rows)
+    if workspace is None:
+        workspace = Workspace(ctx.spec, mask)
+        mask = workspace.mask
+    layers, rows = _layers_and_rows(ctx, w, mask, workspace)
+    inputs, out = _forward(ctx, layers, rows)
     label_index = rows.offsets + ctx.labels
-    loss, lse = _softmax_ce(pre[-1], label_index)
-    gates = [np.greater(z, 0.0, out=g) for z, g in zip(pre, rows.gates)]
-    dz = _to_ce_adjoint(_probs(pre[-1], lse), label_index)
-    for (gW, gb), adjoint, a in zip(ws.grads, _adjoints(layers, gates, dz, rows), inputs):
+    loss, lse = _softmax_ce(out[-1], label_index)
+    gates = [np.greater(a, 0.0, out=g) for a, g in zip(out, rows.gates)]
+    dz = _to_ce_adjoint(_probs(out[-1], lse), label_index)
+    for (gW, gb), adjoint, a in zip(workspace.grads, _adjoints(layers, gates, dz, rows), inputs):
         np.matmul(adjoint.T, a, out=gW)
         np.add.reduce(adjoint, axis=0, out=gb)
-    ws.gradient *= ws.keep
-    return GradResult(loss, ws.gradient)
+    workspace.gradient *= workspace.keep
+    return GradResult(loss, workspace.gradient)
 
 
 class HessianAt:
@@ -321,17 +366,17 @@ class HessianAt:
         self.workspace = ws = Workspace(ctx.spec, mask)
         rows = ws.rows(ctx.n)
         self.layers = ws.masked_layers(w)
-        self.inputs, pre = _forward(ctx, self.layers, rows)
-        _, lse = _softmax_ce(pre[-1], ctx.label_index)
-        self.probs = _probs(pre[-1], lse)
-        self.gates = [np.greater(z, 0.0, out=g) for z, g in zip(pre, rows.gates)]
+        self.inputs, out = _forward(ctx, self.layers, rows)
+        _, lse = _softmax_ce(out[-1], ctx.label_index)
+        self.probs = _probs(out[-1], lse)
+        self.gates = [np.greater(a, 0.0, out=g) for a, g in zip(out, rows.gates)]
         dz = _to_ce_adjoint(self.probs.copy(), ctx.label_index)
         self.adjoints = _adjoints(self.layers, self.gates, dz, rows)
         self.zero_input = np.zeros_like(ctx.features)  # R{input} of the first layer
         # per layer: R{pre-activation}, then R{dz} of the layer below
-        self.rz = [np.empty_like(z) for z in pre]
-        self.ra = [np.empty_like(z) for z in pre[:-1]]  # per hidden layer: R{activation}
-        self.tmp = [np.empty_like(z) for z in pre]  # per layer: a sum's second matmul
+        self.rz = [np.empty_like(z) for z in out]
+        self.ra = [np.empty_like(z) for z in out[:-1]]  # per hidden layer: R{activation}
+        self.tmp = [np.empty_like(z) for z in out]  # per layer: a sum's second matmul
         self.hw = [np.empty_like(W) for W, _ in self.layers]  # per layer: dz.T @ R{input}
 
     def __call__(self, v: np.ndarray) -> np.ndarray:

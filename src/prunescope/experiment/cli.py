@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from ..errors import ConfigError, DivergenceError, NumericalFailureError, PrunescopeError
 from .config import ExperimentConfig, load_config
@@ -73,6 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load(args)
         out = args.out if args.out else cfg.out_dir
+        if Path(out).exists() and not Path(out).is_dir():
+            raise ConfigError(f"output path {out} exists and is not a directory")
         if args.verb == "plot":
             emit_plots(out)
         elif args.verb == "pipeline":

@@ -168,6 +168,10 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -58,7 +58,7 @@ import numpy as np
 from .. import landscape
 from ..data import analysis_subset, gen_spirals, load_csv, load_idx, save_csv
 from ..errors import ArtifactMissingError, ConfigError
-from ..autodiff import LossContext, accuracy_on
+from ..autodiff import LossContext, Workspace, accuracy_on
 from ..model import NetworkSpec, apply_mask, prunable_coords
 from ..numerics import RngStream
 from ..pruning import (
@@ -249,15 +249,18 @@ def stage_dense(state: PipelineState) -> None:
 def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtifacts) -> list[list]:
     """End-of-epoch full-train losses: level-L iterates vs the previous
     level's iterates hard-projected onto level L's mask. The last iterate is
-    level L's solution, whose loss its checkpoint already holds."""
+    level L's solution, whose loss its checkpoint already holds. Every loss
+    writes into one workspace on level L's mask, which also projects the
+    previous level's iterates: (p * m) * m equals p * m exactly."""
     ctx, mask = state.train_ctx, art.mask
+    ws = Workspace(ctx.spec, mask)
     current, previous = art.record.epoch_params, prev.record.epoch_params
     final_loss = state.checkpoint(_level_name(art.level)).train_loss
     return [
         [
             epoch,
-            final_loss if epoch == len(current) - 1 else ctx.loss(current[epoch], mask),
-            ctx.loss(apply_mask(previous[epoch], mask), mask),
+            final_loss if epoch == len(current) - 1 else ctx.loss(current[epoch], mask, ws),
+            ctx.loss(previous[epoch], mask, ws),
         ]
         for epoch in range(min(len(current), len(previous)))
     ]

@@ -25,8 +25,8 @@ The probes:
   whenever two steps in a row fail to halve the bracket, finds a crossing
   inside it. That is the first crossing unless the loss crosses the cutoff
   and falls back below it between two probes (see ``basin_radius``). The
-  search stops at a bracket 5e-7 wide: about 14 losses per direction on the
-  default nets.
+  search stops at a bracket 5e-7 wide: about 13 losses per direction on the
+  default nets, plus one center loss per profile.
 * ``interpolate_losses`` / ``barrier_height`` — loss along the straight
   segment between two solutions.
 * ``surface_grid`` — 2-D projection of the loss around three anchor points.
@@ -170,7 +170,8 @@ def basin_cutoff(loss_a: float, loss_b: float) -> float:
 
 
 def basin_radius(
-    ctx, center: np.ndarray, m: np.ndarray, direction: np.ndarray, cutoff: float
+    ctx, center: np.ndarray, m: np.ndarray, direction: np.ndarray, cutoff: float,
+    center_loss: float | None = None,
 ) -> float:
     """Distance along a unit direction at which the loss reaches the cutoff,
     on the doubling grid of probes.
@@ -200,6 +201,10 @@ def basin_radius(
     steps in a row fail to halve the bracket. Stops once the bracket is at
     most ``2 * RADIUS_TOL`` wide and returns its midpoint, which lies within
     ``RADIUS_TOL`` of the crossing.
+
+    ``center_loss`` is ``ctx.loss(center, m)`` if the caller has it, as
+    :func:`mc_radius_profile` does; otherwise it is evaluated here. Either
+    way a center loss not below the cutoff raises.
     """
     direction = np.asarray(direction, dtype=np.float64)
     m = np.asarray(m, dtype=bool)
@@ -207,7 +212,8 @@ def basin_radius(
         raise ValueError("direction must have unit norm")
     if np.any(direction[~m] != 0.0):
         raise ValueError("direction must be zero on masked coordinates")
-    center_loss = ctx.loss(center, m)
+    if center_loss is None:
+        center_loss = ctx.loss(center, m)
     if center_loss >= cutoff:
         raise ValueError(
             f"center loss {center_loss} is not below the cutoff {cutoff}"
@@ -285,7 +291,8 @@ def mc_radius_profile(
     """Radii along ``n_directions`` independent random unit directions.
 
     Direction i draws from the stream derived at index i, so results are
-    keyed by index and independent of evaluation order.
+    keyed by index and independent of evaluation order. The center loss is
+    evaluated once, for every direction.
     """
     if n_directions < 1:
         raise ValueError("need at least one direction")
@@ -293,7 +300,7 @@ def mc_radius_profile(
 
     def one(i: int) -> float:
         direction = random_unit_direction(m, rng.derive(i))
-        return basin_radius(ctx, center, m, direction, cutoff)
+        return basin_radius(ctx, center, m, direction, cutoff, center_loss)
 
     radii = np.array(parallel_map(one, range(n_directions)))
     if not np.isfinite(radii).any():

@@ -257,6 +257,69 @@ class TestBitIdentity:
             ctx.grad(w, ps.dense_mask(ctx.spec), workspace)
 
 
+def _head_with_reduce(logits, label_index):
+    """The softmax head as it reads with ``np.maximum.reduce`` for the row max."""
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted = np.exp(logits - zmax)
+    lse = np.log(np.add.reduce(shifted, axis=1, keepdims=True)) + zmax
+    per_sample = lse[:, 0] - logits.ravel()[label_index]
+    return float(per_sample.sum() / logits.shape[0]), lse
+
+
+class TestLeanForward:
+    """Forward passes with the ReLU in place, the class max by columns, and
+    forward-only evaluations through a workspace."""
+
+    @pytest.mark.parametrize("hidden", [(16,), (24, 24), (12, 12, 12)], ids=len)
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_workspace_matches_allocating_path(self, hidden, classes):
+        spec = ps.NetworkSpec((2, *hidden, classes))
+        ds = ps.gen_spirals(-(-1500 // classes), classes, 0.15, ps.RngStream(4, classes))
+        gen = np.random.default_rng(len(hidden) * 100 + classes)
+        order = gen.permutation(len(ds.labels))
+        mask = (gen.random(spec.param_count) < 0.6) | ~ps.prunable_coords(spec)
+        workspace = autodiff.Workspace(spec, mask)
+        for n in (1, 32, 300, 1500, 32):
+            ctx = ps.LossContext(spec, ds.features[order[:n]], ds.labels[order[:n]])
+            for _ in range(2):
+                w = gen.normal(size=spec.param_count) * gen.uniform(0.2, 2.0)
+                loss = ps.LossContext.loss(ctx, w, mask)
+                assert ctx.loss(w, workspace.mask, workspace) == loss
+                assert autodiff.forward_loss(ctx, w, mask, workspace) == loss
+                assert _reference_pass(ctx, w, mask)[3] == loss
+                assert ps.accuracy_on(ctx, w, mask, workspace) == ps.accuracy_on(ctx, w, mask)
+
+    def test_column_max_equals_reduce(self):
+        # ties and signed zeros included; a zero max may differ in sign from
+        # the reduction's, which the head's loss and log-sum-exp never show
+        gen = np.random.default_rng(0)
+        for classes in range(2, 17):
+            logits = gen.choice([-2.5, -1.0, -0.0, 0.0, 1.0, 2.5], size=(400, classes))
+            reduced = np.maximum.reduce(logits, axis=1, keepdims=True)
+            np.testing.assert_array_equal(autodiff._row_max(logits), reduced)
+            label_index = np.arange(400) * classes + gen.integers(0, classes, 400)
+            loss, lse = autodiff._softmax_ce(logits, label_index)
+            expected_loss, expected_lse = _head_with_reduce(logits, label_index)
+            assert loss == expected_loss
+            assert lse.tobytes() == expected_lse.tobytes()
+
+    def test_workspace_for_another_mask_raises(self):
+        ctx, w = random_net_ctx(7)
+        workspace = autodiff.Workspace(ctx.spec, ps.dense_mask(ctx.spec))
+        other = ps.dense_mask(ctx.spec)
+        for evaluate in (autodiff.forward_loss, ps.accuracy_on, ps.LossContext.loss):
+            with pytest.raises(ValueError, match="another mask"):
+                evaluate(ctx, w, other, workspace)
+
+    def test_operator_holds_no_gradient(self):
+        # a point's state needs no gradient vector; grad makes it on first use
+        ctx, w = random_net_ctx(8)
+        workspace = ctx.hvp_at(w, ps.dense_mask(ctx.spec)).workspace
+        assert "gradient" not in vars(workspace)
+        result = ctx.grad(w, workspace.mask, workspace)
+        assert result.gradient is workspace.gradient
+
+
 class TestHvpOracle:
     def test_matches_fd_of_gradients(self):
         for seed in range(8):

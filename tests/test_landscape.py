@@ -156,6 +156,19 @@ class TestBasinRadius:
         with pytest.raises(ValueError):
             ps.basin_radius(ctx, np.array([5.0]), ones(1), np.array([1.0]), 1.0)
 
+    def test_given_center_loss(self):
+        # a passed center loss replaces the center evaluation, gives the same
+        # radius, and is still checked against the cutoff
+        ctx = CountingContext(diag_quadratic([2.0, 0.5]))
+        d = np.array([0.6, 0.8])
+        r = ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0)
+        evaluated = ctx.calls
+        ctx.calls = 0
+        assert ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0, 0.0) == r
+        assert ctx.calls == evaluated - 1
+        with pytest.raises(ValueError, match="not below the cutoff"):
+            ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0, 1.0)
+
     def test_cutoff_scaling_sqrt2(self):
         ctx = QuadraticContext(np.diag([1.3, 0.2]))
         d = np.array([0.6, 0.8])
@@ -255,6 +268,18 @@ class TestMcRadiusProfile:
         short = ps.mc_radius_profile(ctx, np.zeros(3), ones(3), 16, 1.0, ps.RngStream(5))
         long = ps.mc_radius_profile(ctx, np.zeros(3), ones(3), 32, 1.0, ps.RngStream(5))
         np.testing.assert_array_equal(short.radii, long.radii[:16])
+
+    def test_center_evaluated_once(self):
+        # one center loss per profile, then only each direction's probes
+        ctx = CountingContext(diag_quadratic([1.0, 4.0, 9.0]))
+        rng = ps.RngStream(5)
+        profile = ps.mc_radius_profile(ctx, np.zeros(3), ones(3), 8, 1.0, rng)
+        probes = CountingContext(diag_quadratic([1.0, 4.0, 9.0]))
+        for i in range(8):
+            direction = ps.random_unit_direction(ones(3), rng.derive(i))
+            radius = ps.basin_radius(probes, np.zeros(3), ones(3), direction, 1.0, 0.0)
+            assert radius == profile.radii[i]
+        assert ctx.calls == probes.calls + 1
 
     def test_all_censored_rejected(self):
         with pytest.raises(DegenerateProfileError):

@@ -492,6 +492,26 @@ class TestCli:
         assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert load_manifest(out)["complete"] == ["data"]
 
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        # a directory, and a file that is not UTF-8: exit 2, no traceback
+        binary = tmp_path / "cfg.json"
+        binary.write_bytes(b'{"master_seed": 1, "out_dir": "\xff"}')
+        for path in (tmp_path, binary):
+            out = tmp_path / "out"
+            assert cli.main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+            assert "config error: " in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_out_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(criterion2_config(), cfg_path)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", encoding="utf-8")
+        for verb in ("gen-data", "pipeline"):
+            assert cli.main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert "is not a directory" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_manifest_that_is_not_an_object(self, tmp_path, capsys):
         # nor one whose stage lists something other than paths: plot reports
         # it; gen-data recomputes the data stage
