@@ -191,14 +191,22 @@ class Workspace:
 class _RowBuffers:
     """A workspace's per-layer arrays for batches of ``n`` rows: each layer's
     pre-activation, which a hidden layer's ReLU overwrites with its
-    activation, each hidden layer's gate and adjoint, and the label offsets."""
+    activation, each hidden layer's gate and adjoint, and the label offsets.
+    The gates and adjoints are made on first use, so forward-only passes
+    never hold them."""
 
     def __init__(self, spec: NetworkSpec, n: int):
-        widths = spec.layer_sizes[1:]
-        self.pre = [np.empty((n, k)) for k in widths]
-        self.gates = [np.empty((n, k), dtype=bool) for k in widths[:-1]]
-        self.adjoints = [np.empty((n, k)) for k in widths[:-1]]
+        self.hidden = [(n, k) for k in spec.layer_sizes[1:-1]]
+        self.pre = [np.empty((n, k)) for k in spec.layer_sizes[1:]]
         self.offsets = np.arange(n) * spec.output_size
+
+    @functools.cached_property
+    def gates(self) -> list:
+        return [np.empty(shape, dtype=bool) for shape in self.hidden]
+
+    @functools.cached_property
+    def adjoints(self) -> list:
+        return [np.empty(shape) for shape in self.hidden]
 
 
 def _check_finite(x: np.ndarray, node: str) -> None:

@@ -8,13 +8,28 @@ source of randomness; every stream the pipeline uses is derived from it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..model import NetworkSpec
 from ..pruning import ImpConfig
 from ..trainer import Hyperparams
 from .tables import write_json
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """A finite number, at least 0 (above 0 with ``positive``)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and (0 < value if positive else 0 <= value) and value < math.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,6 +39,12 @@ class SpiralsSource:
     test_per_class: int = 250
     classes: int = 3
     noise_std: float = 0.15
+
+    def __post_init__(self):
+        _check_count("train_per_class", self.train_per_class, 1)
+        _check_count("test_per_class", self.test_per_class, 1)
+        _check_count("classes", self.classes, 2)
+        _check_real("noise_std", self.noise_std)
 
 
 @dataclass(frozen=True)
@@ -75,6 +96,17 @@ class AnalysisSettings:
     taylor_probes: int = 100
     loss_cap: float = 10.0
 
+    def __post_init__(self):
+        # what the analysis stages need: k >= 1 eigenvalues, a segment's two
+        # endpoints, a grid of at least 2 x 2 cells
+        for name, least in (
+            ("k", 1), ("n_directions", 1), ("interp_points", 2),
+            ("grid_rows", 2), ("grid_cols", 2), ("taylor_probes", 1),
+        ):
+            _check_count(name, getattr(self, name), least)
+        _check_real("grid_margin", self.grid_margin)
+        _check_real("loss_cap", self.loss_cap, positive=True)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -87,6 +119,10 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        NetworkSpec(self.network)  # the layer sizes' own checks
+        _check_count("master_seed", self.master_seed, 0)
+        if self.master_seed >= 2**64:  # RngStream keys on the low 64 bits
+            raise ValueError(f"master_seed must be below 2**64, got {self.master_seed}")
         self.imp_config()  # the training and IMP loops' own value checks
 
     def hyperparams(self) -> Hyperparams:
@@ -131,7 +167,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         ds = data["dataset"]
         if not isinstance(ds, dict) or "kind" not in ds:
             raise ConfigError("dataset: must be an object with a 'kind' key")
-        cls = _DATASET_KINDS.get(ds["kind"])
+        cls = _DATASET_KINDS.get(ds["kind"]) if isinstance(ds["kind"], str) else None
         if cls is None:
             raise ConfigError(
                 f"dataset.kind: {ds['kind']!r} is not one of {sorted(_DATASET_KINDS)}"
@@ -139,7 +175,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         kwargs["dataset"] = _build(cls, ds, "dataset")
     if "network" in data:
         net = data["network"]
-        if not isinstance(net, list) or not all(isinstance(s, int) for s in net):
+        if not isinstance(net, list):
             raise ConfigError("network: must be a list of integer layer sizes")
         kwargs["network"] = tuple(net)
     for key, cls in (
@@ -150,8 +186,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key in data:
             kwargs[key] = _build(cls, data[key], key)
     if "master_seed" in data:
-        if not isinstance(data["master_seed"], int):
-            raise ConfigError("master_seed: must be an integer")
         kwargs["master_seed"] = data["master_seed"]
     if "out_dir" in data:
         if not isinstance(data["out_dir"], str):

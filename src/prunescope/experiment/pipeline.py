@@ -30,6 +30,18 @@ trains both ``rpn1`` and ``rpn2``). Training reads the test set as
 ``PipelineState.test_ctx``, and one call, :meth:`PipelineState.store_checkpoint`,
 stores each solution with its train loss and test accuracy.
 
+An analysis point is one checkpoint's weights on one checkpoint's mask: the
+solution itself when both are the same checkpoint, otherwise a projection.
+``_points(levels)`` declares every point the analyses compare, name ->
+(source, on), in eigen order: the levels, each level's predecessor on its
+mask (``pr_``), each level on its predecessor's mask (the reverse
+projection, ``rpr_``), then the variants. :meth:`PipelineState.point` is the
+one place a checkpoint's weights go onto another checkpoint's mask, and
+``_refs(source, on)`` is a point's checkpoint references cell. The metrics
+stage reports the checkpoints among the points, and its prune impact the
+final level's ``pr_`` point; distances measures every ``pr_`` point, and
+radius declares its four profiles as name -> (source, on).
+
 Artifact layout:
 
     config.json                      echoed config (out_dir normalized)
@@ -67,6 +79,8 @@ from ..pruning import (
     imp_dense,
     imp_levels,
     impact_random_mask,
+    level_name,
+    projection_name,
     prune_by_magnitude,
     sparsity,
     variant_run,
@@ -93,13 +107,22 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _level_name(level: int) -> str:
-    return f"level{level:02d}"
-
-
 def _refs(*names: str) -> str:
-    """The checkpoint references cell naming the given checkpoints."""
-    return ";".join(f"checkpoints/{name}.ckpt" for name in names)
+    """The checkpoint references cell naming the given checkpoints, each once:
+    ``_refs(source, on)`` is a point's."""
+    return ";".join(f"checkpoints/{name}.ckpt" for name in dict.fromkeys(names))
+
+
+def _points(levels: int) -> dict[str, tuple[str, str]]:
+    """Every analysis point, name -> (source, on), in eigen order."""
+    names = [level_name(level) for level in range(levels + 1)]
+    points = {name: (name, name) for name in names}
+    steps = range(1, levels + 1)
+    points.update({projection_name(L - 1, L): (names[L - 1], names[L]) for L in steps})
+    points.update({projection_name(L, L - 1): (names[L], names[L - 1]) for L in steps})
+    if levels > 0:
+        points.update({name: (name, name) for name in VARIANTS})
+    return points
 
 
 class PipelineState:
@@ -156,6 +179,12 @@ class PipelineState:
                 self._require_file(f"checkpoints/{name}.ckpt")
             )
         return self._checkpoints[name]
+
+    def point(self, source: str, on: str) -> tuple[np.ndarray, np.ndarray]:
+        """Checkpoint ``source``'s weights on checkpoint ``on``'s mask, and the
+        mask: the stored solution itself when they are one checkpoint."""
+        params, mask = self.checkpoint(source).params, self.checkpoint(on).mask
+        return (params if source == on else apply_mask(params, mask)), mask
 
     def store_checkpoint(
         self, name: str, params: np.ndarray, mask: np.ndarray, level: int, role: str, step: int
@@ -237,7 +266,7 @@ def stage_dense(state: PipelineState) -> None:
     dense, w_init, w_rewind = imp_dense(state.train_ctx, state.test_ctx, cfg)
     state.store_checkpoint("init", w_init, dense.mask, 0, "init", 0)
     state.store_checkpoint("rewind", w_rewind, dense.mask, 0, "rewind_point", cfg.hp.rewind_step)
-    _store_run(state, _level_name(0), dense, "minimum")
+    _store_run(state, level_name(0), dense, "minimum")
     rows = dense.record.epoch_params
     with open(state.artifact(DENSE_SNAPSHOTS), "wb") as fh:  # np.save's format, without stacking
         header = np.lib.format.header_data_from_array_1_0(rows[0])
@@ -255,7 +284,7 @@ def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtif
     ctx, mask = state.train_ctx, art.mask
     ws = Workspace(ctx.spec, mask)
     current, previous = art.record.epoch_params, prev.record.epoch_params
-    final_loss = state.checkpoint(_level_name(art.level)).train_loss
+    final_loss = state.checkpoint(level_name(art.level)).train_loss
     return [
         [
             epoch,
@@ -267,7 +296,7 @@ def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtif
 
 
 def stage_imp(state: PipelineState) -> None:
-    dense = state.checkpoint(_level_name(0))
+    dense = state.checkpoint(level_name(0))
     # only prev holds the mapped snapshots, so they are unmapped once level 1 is written
     prev = LevelArtifacts(
         0, dense.mask, dense.params,
@@ -276,7 +305,7 @@ def stage_imp(state: PipelineState) -> None:
     w_rewind = state.checkpoint("rewind").params
     cfg = state.cfg.imp_config()
     for art in imp_levels(state.train_ctx, state.test_ctx, cfg, prev, w_rewind):
-        name = _level_name(art.level)
+        name = level_name(art.level)
         _store_run(state, name, art, "minimum")
         write_csv(
             state.artifact(f"metrics/trajectory_{name}.csv"),
@@ -291,11 +320,11 @@ def _variant_stage(*names: str) -> Callable[[PipelineState], None]:
 
     def stage(state: PipelineState) -> None:
         cfg = state.cfg.imp_config()
-        target = sparsity(state.checkpoint(_level_name(cfg.levels)).mask)
+        target = sparsity(state.checkpoint(level_name(cfg.levels)).mask)
         w_rewind = state.checkpoint("rewind").params
         for variant in (v for v in VARIANT_TABLE if v.name in names):
             level = variant.source_level(cfg.levels)
-            cp = state.checkpoint(_level_name(level))
+            cp = state.checkpoint(level_name(level))
             source = LevelArtifacts(level, cp.mask, cp.params, TrainRecord())
             art = variant_run(
                 state.train_ctx, state.test_ctx, cfg, variant, source, w_rewind, target
@@ -305,17 +334,12 @@ def _variant_stage(*names: str) -> Callable[[PipelineState], None]:
     return stage
 
 
-def _point_names(state: PipelineState) -> list[str]:
-    names = [_level_name(level) for level in range(state.cfg.imp.levels + 1)]
-    if state.cfg.imp.levels > 0:
-        names += list(VARIANTS)
-    return names
-
-
 def stage_metrics(state: PipelineState) -> None:
     actx = state.analysis_ctx
+    levels = state.cfg.imp.levels
+    solutions = [name for name, (source, on) in _points(levels).items() if source == on]
     rows = []
-    for name in _point_names(state):
+    for name in solutions:
         cp = state.checkpoint(name)
         rows.append(
             [
@@ -333,23 +357,21 @@ def stage_metrics(state: PipelineState) -> None:
         ["name", "level", "sparsity", "train_loss", "analysis_loss", "test_accuracy", "checkpoint"],
         rows,
     )
-    levels = state.cfg.imp.levels
     if levels > 0:
         # immediate post-prune loss increase, before any retraining; IMP's
         # magnitude round from level L-1 is level L's mask
-        prev_name = _level_name(levels - 1)
+        prev_name = level_name(levels - 1)
         prev = state.checkpoint(prev_name)
         rand = impact_random_mask(state.cfg.imp_config(), prev.mask, prunable_coords(state.spec))
-        magnitude = state.checkpoint(_level_name(levels)).mask
         before = actx.loss(prev.params, prev.mask)
-        impact_rows = []
-        for strategy, mask in (("magnitude", magnitude), ("random", rand)):
-            after = actx.loss(apply_mask(prev.params, mask), mask)
-            impact_rows.append([strategy, before, after, after - before, _refs(prev_name)])
+        after = {
+            "magnitude": actx.loss(*state.point(prev_name, level_name(levels))),
+            "random": actx.loss(apply_mask(prev.params, rand), rand),
+        }
         write_csv(
             state.artifact("analysis/prune_impact.csv"),
             ["strategy", "loss_before", "loss_after", "delta", "checkpoint"],
-            impact_rows,
+            [[strategy, before, loss, loss - before, _refs(prev_name)] for strategy, loss in after.items()],
         )
 
 
@@ -357,16 +379,15 @@ def stage_distances(state: PipelineState) -> None:
     w_rewind = state.checkpoint("rewind").params
     rows = []
     for level in range(1, state.cfg.imp.levels + 1):
-        cur = state.checkpoint(_level_name(level))
-        prev = state.checkpoint(_level_name(level - 1))
-        pr_prev = apply_mask(prev.params, cur.mask)
-        pr_rewind = apply_mask(w_rewind, cur.mask)
+        source, on = level_name(level - 1), level_name(level)
+        pr_prev, mask = state.point(source, on)
+        pr_rewind = apply_mask(w_rewind, mask)
         rows.append(
             [
                 level,
                 float(np.linalg.norm(pr_prev - pr_rewind)),
-                float(np.linalg.norm(cur.params - pr_rewind)),
-                _refs(_level_name(level - 1), _level_name(level)),
+                float(np.linalg.norm(state.checkpoint(on).params - pr_rewind)),
+                _refs(source, on),
             ]
         )
     write_csv(
@@ -376,32 +397,6 @@ def stage_distances(state: PipelineState) -> None:
     )
 
 
-def _eigen_points(state: PipelineState) -> list[tuple[str, np.ndarray, np.ndarray, str]]:
-    """(name, params, mask, source checkpoints) in a fixed deterministic order:
-    levels, projections, reverse projections, variants."""
-    levels = state.cfg.imp.levels
-    points = []
-    for level in range(levels + 1):
-        cp = state.checkpoint(_level_name(level))
-        points.append((_level_name(level), cp.params, cp.mask, _refs(_level_name(level))))
-    projected, reverse = [], []
-    for level in range(1, levels + 1):
-        a, b = _level_name(level - 1), _level_name(level)
-        prev, cur = state.checkpoint(a), state.checkpoint(b)
-        projected.append(
-            (f"pr_{a}_on_{level:02d}", apply_mask(prev.params, cur.mask), cur.mask, _refs(a, b))
-        )
-        reverse.append(
-            (f"rpr_{b}_on_{level - 1:02d}", apply_mask(cur.params, prev.mask), prev.mask, _refs(b, a))
-        )
-    points += projected + reverse
-    if levels > 0:
-        for name in VARIANTS:
-            cp = state.checkpoint(name)
-            points.append((name, cp.params, cp.mask, _refs(name)))
-    return points
-
-
 def stage_eigen(state: PipelineState) -> None:
     actx = state.analysis_ctx
     k = state.cfg.analysis.k
@@ -409,9 +404,9 @@ def stage_eigen(state: PipelineState) -> None:
     value_rows = []
     summary_rows = []
     meta = {"k": k, "reports": {}}
-    for index, (name, params, mask, source) in enumerate(_eigen_points(state)):
-        stream = base.derive(index)
-        report = landscape.top_k_eigenvalues(actx, params, mask, k, stream)
+    for index, (name, pair) in enumerate(_points(state.cfg.imp.levels).items()):
+        params, mask = state.point(*pair)
+        report = landscape.top_k_eigenvalues(actx, params, mask, k, base.derive(index))
         for rank, value in enumerate(report.eigenvalues):
             value_rows.append([name, rank, float(value)])
         summary_rows.append(
@@ -420,7 +415,7 @@ def stage_eigen(state: PipelineState) -> None:
                 int(report.eigenvalues.size),
                 landscape.inverse_volume(report, min(k, report.eigenvalues.size)),
                 int(mask.sum()),
-                source,
+                _refs(*pair),
             ]
         )
         meta["reports"][name] = {
@@ -445,27 +440,24 @@ def stage_radius(state: PipelineState) -> None:
     actx = state.analysis_ctx
     n_dir = state.cfg.analysis.n_directions
     base = RngStream(state.cfg.master_seed, RADIUS_STREAM)
-    final_name, prev_name = _level_name(levels), _level_name(levels - 1)
-    final = state.checkpoint(final_name)
-    prev = state.checkpoint(prev_name)
-
-    pr_prev = apply_mask(prev.params, final.mask)
-    cut_fwd = landscape.basin_cutoff(
-        actx.loss(final.params, final.mask), actx.loss(pr_prev, final.mask)
-    )
-    rpr_final = apply_mask(final.params, prev.mask)
-    cut_rev = landscape.basin_cutoff(
-        actx.loss(prev.params, prev.mask), actx.loss(rpr_final, prev.mask)
-    )
-    profiles = [
-        ("final_min", final.params, final.mask, cut_fwd, _refs(final_name)),
-        ("final_projected_prev", pr_prev, final.mask, cut_fwd, _refs(prev_name, final_name)),
-        ("prev_min", prev.params, prev.mask, cut_rev, _refs(prev_name)),
-        ("prev_reverse_final", rpr_final, prev.mask, cut_rev, _refs(final_name, prev_name)),
-    ]
+    final, prev = level_name(levels), level_name(levels - 1)
+    profiles = {  # name -> (source, on)
+        "final_min": (final, final),
+        "final_projected_prev": (prev, final),
+        "prev_min": (prev, prev),
+        "prev_reverse_final": (final, prev),
+    }
+    points = {name: state.point(*pair) for name, pair in profiles.items()}
+    losses = {name: actx.loss(*point) for name, point in points.items()}
+    # a mask's cutoff bounds both its own minimum and the projection onto it
+    cutoffs = {
+        final: landscape.basin_cutoff(losses["final_min"], losses["final_projected_prev"]),
+        prev: landscape.basin_cutoff(losses["prev_min"], losses["prev_reverse_final"]),
+    }
     summary_rows = []
     meta = {"n_directions": n_dir, "profiles": {}}
-    for index, (name, params, mask, cutoff, source) in enumerate(profiles):
+    for index, (name, (source, on)) in enumerate(profiles.items()):
+        (params, mask), cutoff = points[name], cutoffs[on]
         profile = landscape.mc_radius_profile(
             actx, params, mask, n_dir, cutoff, base.derive(index)
         )
@@ -487,7 +479,7 @@ def stage_radius(state: PipelineState) -> None:
                 profile.n_censored,
                 landscape.log_volume(profile, active),
                 active,
-                source,
+                _refs(source, on),
             ]
         )
         meta["profiles"][name] = {"cutoff": cutoff, "n_censored": profile.n_censored}
@@ -499,14 +491,14 @@ def stage_radius(state: PipelineState) -> None:
     write_json(state.artifact("analysis/radius_meta.json"), meta)
 
 
-def _interp_pairs(state: PipelineState) -> list[tuple[str, str, str]]:
-    levels = state.cfg.imp.levels
-    names = [_level_name(level) for level in range(levels + 1)]
-    pairs = [(f"interp_{a}_{b}", a, b) for a, b in zip(names, names[1:])]
-    # each variant against the level it was pruned from
-    sources = {v.name: _level_name(v.source_level(levels)) for v in VARIANT_TABLE}
+def _interp_pairs(levels: int) -> dict[str, tuple[str, str]]:
+    """Each interpolation, name -> (endpoint a, endpoint b): successive
+    levels, then each variant against the level it was pruned from."""
+    names = [level_name(level) for level in range(levels + 1)]
+    pairs = {f"interp_{a}_{b}": (a, b) for a, b in zip(names, names[1:])}
+    sources = {v.name: level_name(v.source_level(levels)) for v in VARIANT_TABLE}
     for name in ("random_reinit", "one_shot", "rpn2", "rpn1"):
-        pairs.append((f"interp_{name}", sources[name], name))
+        pairs[f"interp_{name}"] = (sources[name], name)
     return pairs
 
 
@@ -514,7 +506,7 @@ def stage_interp(state: PipelineState) -> None:
     actx = state.analysis_ctx
     n_points = state.cfg.analysis.interp_points
     summary_rows = []
-    for name, a, b in _interp_pairs(state):
+    for name, (a, b) in _interp_pairs(state.cfg.imp.levels).items():
         cp_a = state.checkpoint(a)
         cp_b = state.checkpoint(b)
         curve = landscape.interpolate_losses(actx, cp_a.params, cp_b.params, n_points=n_points)
@@ -547,8 +539,8 @@ def stage_surface(state: PipelineState) -> None:
     levels = state.cfg.imp.levels
     actx = state.analysis_ctx
     a = state.cfg.analysis
-    anchor_names = (_level_name(0), _level_name(levels), "random_reinit")
-    extra_names = [_level_name(level) for level in range(1, levels)] + [
+    anchor_names = (level_name(0), level_name(levels), "random_reinit")
+    extra_names = [level_name(level) for level in range(1, levels)] + [
         name for name in VARIANTS if name not in anchor_names
     ]
     anchors = tuple(state.checkpoint(n).params for n in anchor_names)
@@ -594,10 +586,10 @@ def stage_surface(state: PipelineState) -> None:
 
 def stage_geometry(state: PipelineState) -> None:
     levels = state.cfg.imp.levels
-    names = [_level_name(level) for level in range(levels + 1)]
+    names = [level_name(level) for level in range(levels + 1)]
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     if levels > 0:
-        refs = [_level_name(0), _level_name(levels - 1), _level_name(levels)]
+        refs = [level_name(0), level_name(levels - 1), level_name(levels)]
         pairs += [(v, r) for v in VARIANTS for r in refs]
     rows = []
     for a, b in pairs:
@@ -616,9 +608,9 @@ def stage_taylor(state: PipelineState) -> None:
     actx = state.analysis_ctx
     prunable = prunable_coords(state.spec)
     stream = RngStream(state.cfg.master_seed, TAYLOR_STREAM)
-    bases = [_level_name(0)]
+    bases = [level_name(0)]
     if state.cfg.imp.levels >= 3:
-        bases.append(_level_name(3))
+        bases.append(level_name(3))
     rows = []
     for b_idx, base_name in enumerate(bases):
         cp = state.checkpoint(base_name)

@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from ..errors import ArtifactMissingError
-from ..pruning import VARIANT_TABLE
+from ..pruning import VARIANT_TABLE, level_name, projection_name
 from .config import load_config
 from .tables import load_manifest, read_csv_dicts
 
@@ -187,8 +187,9 @@ def heatmap(path, xs, ys, cells, points, title, cap):
 def emit_plots(artifact_dir) -> list[str]:
     """Render every figure the artifact directory supports; returns relpaths.
 
-    Requires a manifest; raises :class:`ArtifactMissingError` naming the
-    missing artifact when a needed CSV is absent.
+    Requires a manifest and the echoed ``config.json``, which names the final
+    level; raises :class:`ArtifactMissingError` naming the missing artifact
+    when a needed file is absent.
     """
     out = Path(artifact_dir)
     if not (out / "manifest.json").exists():
@@ -208,10 +209,15 @@ def emit_plots(artifact_dir) -> list[str]:
             raise ArtifactMissingError(f"expected artifact {rel} is missing")
         return path
 
+    cfg = load_config(need("config.json"))
+    levels = cfg.imp.levels
+    final = level_name(levels)
+
     # loss / accuracy across levels
     if "analysis/level_summary.csv" in available:
         rows = read_csv_dicts(need("analysis/level_summary.csv"))
-        level_rows = [r for r in rows if r["name"].startswith("level")]
+        names = {level_name(level) for level in range(levels + 1)}
+        level_rows = [r for r in rows if r["name"] in names]
         xs = [int(r["level"]) for r in level_rows]
         line_chart(
             out / "plots/train_loss_by_level.svg",
@@ -238,34 +244,16 @@ def emit_plots(artifact_dir) -> list[str]:
         by_name: dict[str, list[tuple[int, float]]] = {}
         for r in rows:
             by_name.setdefault(r["name"], []).append((int(r["rank"]), float(r["eigenvalue"])))
-        levels = sorted(n for n in by_name if n.startswith("level"))
-        if levels:
-            final = levels[-1]
-            series = [(final, *zip(*sorted(by_name[final])))]
-            projected = [n for n in by_name if n.startswith("pr_") and n.endswith(final[-2:])]
-            for name in sorted(projected):
-                series.append((name, *zip(*sorted(by_name[name]))))
-            line_chart(
-                out / "plots/eigen_final.svg",
-                series,
-                "Top Hessian eigenvalues at the final level",
-                "rank",
-                "eigenvalue",
-                markers=True,
-            )
-            emitted.append("plots/eigen_final.svg")
-            variant_series = [(final, *zip(*sorted(by_name[final])))]
-            for name in (v.name for v in VARIANT_TABLE if v.name in by_name):
-                variant_series.append((name, *zip(*sorted(by_name[name]))))
-            line_chart(
-                out / "plots/eigen_variants.svg",
-                variant_series,
-                "Top Hessian eigenvalues: variants vs final level",
-                "rank",
-                "eigenvalue",
-                markers=True,
-            )
-            emitted.append("plots/eigen_variants.svg")
+        # the final level against the previous level projected onto its mask
+        projected = [projection_name(levels - 1, levels)] if levels > 0 else []
+        variants = [v.name for v in VARIANT_TABLE if v.name in by_name]
+        for rel, others, title in (
+            ("plots/eigen_final.svg", projected, "Top Hessian eigenvalues at the final level"),
+            ("plots/eigen_variants.svg", variants, "Top Hessian eigenvalues: variants vs final level"),
+        ):
+            series = [(name, *zip(*sorted(by_name[name]))) for name in [final, *others]]
+            line_chart(out / rel, series, title, "rank", "eigenvalue", markers=True)
+            emitted.append(rel)
 
     # radius histograms
     for rel in sorted(a for a in available if a.startswith("analysis/radius_") and a.endswith(".csv")):
@@ -313,7 +301,7 @@ def emit_plots(artifact_dir) -> list[str]:
             cells,
             points,
             "Loss surface through the anchor plane",
-            cap=load_config(need("config.json")).analysis.loss_cap,
+            cap=cfg.analysis.loss_cap,
         )
         emitted.append("plots/surface.svg")
 

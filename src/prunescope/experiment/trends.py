@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
-from ..pruning import VARIANT_TABLE
+from ..pruning import VARIANT_TABLE, level_name, projection_name
 from .config import load_config
+from .pipeline import _interp_pairs
 from .tables import read_csv_dicts
 
 
@@ -51,17 +52,17 @@ def trend_criteria(run_dirs) -> tuple[dict[str, dict], dict[str, float]]:
     accs = [_column(out, "level_summary.csv", "name", "test_accuracy") for out in runs]
 
     per_seed_needed = math.ceil(2 * len(runs) / 3)
-    final = f"level{levels:02d}"
+    names = [level_name(level) for level in range(levels + 1)]
+    final = names[-1]
     variants = tuple(v.name for v in VARIANT_TABLE)
     # seed-mean V'(projected previous solution) - V'(level minimum), per level
     vprime_margin = [
-        np.mean([e[f"pr_level{L - 1:02d}_on_{L:02d}"] for e in eigs])
-        - np.mean([e[f"level{L:02d}"] for e in eigs])
+        np.mean([e[projection_name(L - 1, L)] for e in eigs]) - np.mean([e[names[L]] for e in eigs])
         for L in range(1, levels + 1)
     ]
-    succ = np.mean(
-        [[b[f"interp_level{L - 1:02d}_level{L:02d}"] for L in range(1, levels + 1)]
-         for b in barriers], axis=0)
+    # the interpolations between successive levels, in level order
+    successive = [name for name, (_, end) in _interp_pairs(levels).items() if end in names]
+    succ = np.mean([[b[name] for name in successive] for b in barriers], axis=0)
     mean_acc = {name: np.mean([a[name] for a in accs]) for name in (final,) + variants}
 
     criteria = {

@@ -31,6 +31,8 @@ class NetworkSpec:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in self.layer_sizes):
+            raise TypeError(f"layer sizes must be integers, got {self.layer_sizes!r}")
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2:
             raise ValueError("a network needs at least input and output layers")

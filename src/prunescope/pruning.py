@@ -19,6 +19,7 @@ level's mask through :func:`~prunescope.model.apply_mask`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -68,8 +69,8 @@ class ImpConfig:
         # the fine-tune run's Hyperparams would reject these mid-pipeline
         if self.ft_epochs < 1:
             raise ValueError("ft_epochs must be at least 1")
-        if self.ft_lr <= 0:
-            raise ValueError("ft_lr must be positive")
+        if not 0 < self.ft_lr < math.inf:
+            raise ValueError("ft_lr must be positive and finite")
         object.__setattr__(self, "strategy", Strategy(self.strategy))
 
 
@@ -256,6 +257,18 @@ class Variant:
         return 0 if self.from_dense else levels - 1
 
 
+def level_name(level: int) -> str:
+    """The name of IMP level ``level``'s solution: ``level00``, ``level01``, ..."""
+    return f"level{level:02d}"
+
+
+def projection_name(source: int, on: int) -> str:
+    """The name of level ``source``'s solution on level ``on``'s mask: ``pr_``
+    onto a later level's mask, ``rpr_`` (the reverse projection) onto an
+    earlier one's, as in ``pr_level09_on_10`` and ``rpr_level10_on_09``."""
+    return f"{'pr' if source < on else 'rpr'}_{level_name(source)}_on_{on:02d}"
+
+
 # name, from_dense, rule, to_target, strategy, seed_key[, init_key, mask_key]
 VARIANT_TABLE = (
     Variant("one_shot", True, "magnitude", True, Strategy.WEIGHT_REWIND, 1_001),
@@ -353,7 +366,7 @@ def imp_levels(
     the level, and a DivergenceError carries it.
     """
     for level in range(prev.level + 1, cfg.levels + 1):
-        step = Variant(f"level{level:02d}", False, "magnitude", False, cfg.strategy, level, level)
+        step = Variant(level_name(level), False, "magnitude", False, cfg.strategy, level, level)
         try:
             prev = variant_run(ctx, test, cfg, step, prev, w_rewind, record_snapshots=True)
         except MaskExhaustedError as exc:

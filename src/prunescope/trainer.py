@@ -56,8 +56,8 @@ class Hyperparams:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("lr0 must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:

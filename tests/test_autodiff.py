@@ -311,6 +311,27 @@ class TestLeanForward:
             with pytest.raises(ValueError, match="another mask"):
                 evaluate(ctx, w, other, workspace)
 
+    def test_forward_only_pass_holds_no_backward_buffers(self):
+        # gates and adjoints are made on a row count's first grad; the grad
+        # after forward passes, and an operator's products, keep their bits
+        spec = ps.NetworkSpec((2, 128, 128, 3))
+        ds = ps.gen_spirals(100, 3, 0.15, ps.RngStream(5, 1))
+        ctx = ps.LossContext(spec, ds.features, ds.labels)
+        gen = np.random.default_rng(11)
+        mask = (gen.random(spec.param_count) < 0.6) | ~ps.prunable_coords(spec)
+        w = gen.normal(size=spec.param_count)
+        workspace = autodiff.Workspace(spec, mask)
+        ctx.loss(w, workspace.mask, workspace)
+        ps.accuracy_on(ctx, w, workspace.mask, workspace)
+        rows = workspace.rows(ctx.n)
+        assert "gates" not in vars(rows) and "adjoints" not in vars(rows)
+        loss, g = reference_grad(ctx, w, mask)
+        result = ctx.grad(w, workspace.mask, workspace)
+        assert result.loss == loss and result.gradient.tobytes() == g.tobytes()
+        assert "gates" in vars(rows) and "adjoints" in vars(rows)
+        v = gen.normal(size=spec.param_count)
+        assert ctx.hvp_at(w, mask)(v).tobytes() == reference_hvp(ctx, w, mask, v).tobytes()
+
     def test_operator_holds_no_gradient(self):
         # a point's state needs no gradient vector; grad makes it on first use
         ctx, w = random_net_ctx(8)

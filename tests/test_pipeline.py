@@ -15,7 +15,7 @@ from helpers import criterion2_config
 from prunescope import pruning
 from prunescope.errors import ArtifactMissingError, ConfigError, DivergenceError
 from prunescope.experiment import ExperimentConfig, emit_plots, load_manifest, run_pipeline
-from prunescope.experiment import cli, load_checkpoint
+from prunescope.experiment import cli, load_checkpoint, pipeline
 from prunescope.experiment.config import (
     AnalysisSettings,
     ImpSettings,
@@ -198,6 +198,32 @@ class TestStagesReadTheDisk:
         assert on_disk == set(hashes) | {"manifest.json"}
         listed = [rel for rels in load_manifest(out)["stages"].values() for rel in rels]
         assert sorted(listed) == sorted(hashes)
+
+    def test_every_reference_names_a_hashed_checkpoint(self, fresh):
+        out, hashes = fresh
+        for rel in (rel for rel in hashes if rel.endswith(".csv")):
+            for row in read_csv_dicts(out / rel):
+                cells = [row[c] for c in ("checkpoint", "checkpoints") if c in row]
+                for ref in (ref for cell in cells for ref in cell.split(";")):
+                    assert ref.startswith("checkpoints/") and ref in hashes, f"{rel}: {ref}"
+
+    def test_eigen_and_radius_references_are_their_points(self, fresh):
+        # each row's cell is _refs of its table pair; radius profiles are
+        # the final and previous levels and the two projections between them
+        out, _ = fresh
+        levels = criterion2_config().imp.levels
+        points = pipeline._points(levels)
+        profiles = {
+            "final_min": pruning.level_name(levels),
+            "final_projected_prev": pruning.projection_name(levels - 1, levels),
+            "prev_min": pruning.level_name(levels - 1),
+            "prev_reverse_final": pruning.projection_name(levels, levels - 1),
+        }
+        for csv, names in (("eigen_summary.csv", dict(zip(points, points))), ("radius_summary.csv", profiles)):
+            rows = read_csv_dicts(out / "analysis" / csv)
+            assert [row["name"] for row in rows] == list(names)
+            for row in rows:
+                assert row["checkpoints"] == pipeline._refs(*points[names[row["name"]]])
 
     def test_checkpoint_headers_match_the_evaluator(self, fresh):
         # each header's train loss and test accuracy are the evaluator's on
@@ -551,6 +577,33 @@ class TestCli:
         cfg_path.write_text(json.dumps({section: values}))
         out = tmp_path / "out"
         assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("analysis", {"k": 0}),
+            ("analysis", {"n_directions": "100"}),
+            ("analysis", {"interp_points": 1}),
+            ("analysis", {"grid_rows": 1}),
+            ("analysis", {"taylor_probes": 0}),
+            ("network", [2, 0, 3]),
+            ("network", [True, 4, 3]),
+            ("dataset", {"kind": ["x"]}),
+            ("dataset", {"noise_std": -1}),
+            ("training", {"lr0": float("inf")}),
+            ("master_seed", -5),
+            ("master_seed", 2**64),
+        ],
+    )
+    def test_bad_value_exits_before_any_stage(self, tmp_path, capsys, key, value):
+        data = config_to_dict(criterion2_config())
+        data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 

@@ -11,6 +11,36 @@ from prunescope.experiment import STAGES, load_manifest, pipeline
 from prunescope.experiment.config import config_to_dict
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "stage_profile.py"
+
+# (stage, rows) -> (forward losses, gradients, HVPs) of the criterion-2 run.
+# A change that moves an evaluation updates this table and says why; stages
+# that evaluate nothing (data, distances, geometry, plots) have no entry.
+EVALUATIONS = {
+    ("dense", 16): (0, 42, 0),
+    ("dense", 8): (0, 6, 0),
+    ("dense", 120): (3, 0, 0),
+    ("imp", 16): (0, 84, 0),
+    ("imp", 8): (0, 12, 0),
+    ("imp", 120): (24, 0, 0),
+    ("variant_one_shot", 16): (0, 42, 0),
+    ("variant_one_shot", 8): (0, 6, 0),
+    ("variant_one_shot", 120): (1, 0, 0),
+    ("variant_fine_tune", 16): (0, 21, 0),
+    ("variant_fine_tune", 8): (0, 3, 0),
+    ("variant_fine_tune", 120): (1, 0, 0),
+    ("variant_random_reinit", 16): (0, 42, 0),
+    ("variant_random_reinit", 8): (0, 6, 0),
+    ("variant_random_reinit", 120): (1, 0, 0),
+    ("variant_random_prune", 16): (0, 84, 0),
+    ("variant_random_prune", 8): (0, 12, 0),
+    ("variant_random_prune", 120): (2, 0, 0),
+    ("metrics", 24): (11, 0, 0),
+    ("eigen", 24): (0, 0, 540),
+    ("radius", 24): (1328, 0, 0),
+    ("interp", 24): (306, 0, 0),
+    ("surface", 24): (80, 0, 0),
+    ("taylor", 24): (4, 2, 40),
+}
 _spec = importlib.util.spec_from_file_location("stage_profile", _PATH)
 stage_profile = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stage_profile)
@@ -34,6 +64,7 @@ def test_profiles_every_stage_and_counts_by_rows(tmp_path, capsys):
     assert counts["imp", cfg.training.batch_size]["grad"] > 0
     assert any(e["stage"] == "eigen" and e["hvp"] for e in counts.values())
     assert any(e["stage"] == "radius" and e["forward"] for e in counts.values())
+    assert {key: (e["forward"], e["grad"], e["hvp"]) for key, e in counts.items()} == EVALUATIONS
     # the run is a whole pipeline, and the program's functions are restored
     assert load_manifest(tmp_path)["complete"] == list(STAGES)
     assert [autodiff.forward_loss, autodiff.grad, autodiff.hvp, pipeline._STAGE_FUNCS] == wrapped
