@@ -11,7 +11,9 @@ stages run in the one call. ``--set '<JSON>'`` merges overrides into the
 workload's, section by section (``{"imp": {"levels": 1}}``).
 
 For each stage the script prints its wall time, its CPU time (user plus
-system, of this process) and ``ru_maxrss`` at the stage's end. Then, per
+system, of this process), ``ru_maxrss`` at the stage's end (the process's
+peak so far) and the stage's rise in that peak, which is 0 for a stage that
+stays below an earlier stage's peak. Then, per
 stage and per row count of the evaluated slice, it prints the forward
 losses, gradients and HVPs. It counts them by rebinding ``autodiff``'s
 ``forward_loss``, ``grad`` and ``hvp``, through which every evaluation of a
@@ -56,19 +58,24 @@ def merge(base: dict, extra: dict) -> dict:
 
 def profile(cfg, out) -> tuple[list[dict], list[dict]]:
     """Run every stage of ``cfg`` into ``out``: one row per stage that ran
-    (wall and CPU seconds, ``ru_maxrss`` MB at its end) and one row per
-    (stage, row count) with its forward, gradient and HVP counts."""
+    (wall and CPU seconds, ``ru_maxrss`` MB at its end and its rise over the
+    stage) and one row per (stage, row count) with its forward, gradient and
+    HVP counts."""
     stages, counts = [], Counter()
     current = ["-"]
+
+    def maxrss_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     def timed(name, func):
         def stage(state):
             current[0] = name
+            start = maxrss_mb()
             wall, cpu = time.perf_counter(), time.process_time()
             func(state)
-            maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            stages.append({"stage": name, "wall_s": time.perf_counter() - wall,
-                           "cpu_s": time.process_time() - cpu, "maxrss_mb": maxrss})
+            wall, cpu, maxrss = time.perf_counter() - wall, time.process_time() - cpu, maxrss_mb()
+            stages.append({"stage": name, "wall_s": wall, "cpu_s": cpu,
+                           "maxrss_mb": maxrss, "maxrss_rise_mb": maxrss - start})
         return stage
 
     def counted(kind, func):
@@ -118,9 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"workload": args.workload, "seed": args.seed,
                           "stages": stages, "evaluations": evaluations}))
         return 0
-    print(f"{'stage':28s} {'wall_s':>8s} {'cpu_s':>8s} {'maxrss_mb':>10s}")
+    print(f"{'stage':28s} {'wall_s':>8s} {'cpu_s':>8s} {'maxrss_mb':>10s} {'rise_mb':>8s}")
     for s in stages:
-        print(f"{s['stage']:28s} {s['wall_s']:8.3f} {s['cpu_s']:8.3f} {s['maxrss_mb']:10.2f}")
+        print(f"{s['stage']:28s} {s['wall_s']:8.3f} {s['cpu_s']:8.3f} {s['maxrss_mb']:10.2f} "
+              f"{s['maxrss_rise_mb']:8.2f}")
     print(f"{'total':28s} {sum(s['wall_s'] for s in stages):8.3f} "
           f"{sum(s['cpu_s'] for s in stages):8.3f}")
     print()

@@ -1,7 +1,7 @@
 """Trains small dense networks, prunes them iteratively by weight magnitude,
 and measures the geometry of the loss landscape around the solutions."""
 
-from .autodiff import GradResult, LossContext, accuracy_on, grad, hvp
+from .autodiff import GradResult, LossContext
 from .data import Dataset, analysis_subset, gen_spirals, load_csv, load_idx
 from .landscape import (
     Barrier,
@@ -44,9 +44,6 @@ __all__ = [
     # autodiff
     "GradResult",
     "LossContext",
-    "accuracy_on",
-    "grad",
-    "hvp",
     # data
     "Dataset",
     "analysis_subset",

@@ -2,11 +2,13 @@
 gradient and exact Hessian-vector products.
 
 :class:`LossContext` fixes an architecture and a data slice, which makes the
-loss a pure function of the parameter vector. Its ``loss``, ``grad`` and
-``hvp_at`` methods are the protocol every landscape probe consumes; they
-call this module's :func:`forward_loss`, :func:`grad` and :func:`hvp`,
-looked up as module globals at call time, so rebinding one of those counts
-or times every evaluation made through a context.
+loss a pure function of the parameter vector. ``ctx.at(mask)`` is the one way
+an evaluation runs: it returns an :class:`Evaluator`, whose ``loss``,
+``accuracy``, ``grad`` and ``hvp_at`` methods are the protocol every
+landscape probe consumes. They call this module's :func:`forward_loss`,
+:func:`accuracy_on`, :func:`grad` and :func:`hvp`, looked up as module
+globals at call time with the evaluated context as the first argument, so
+rebinding one of those counts or times every evaluation.
 
 The network is a fixed chain of (W, b) layers, so differentiation is written
 out as straight-line passes over it. One forward pass keeps each layer's
@@ -20,10 +22,9 @@ against the plain adjoints, which yields H @ v without ever materializing H.
 
 Everything a product reads that does not depend on v (the masked layers,
 layer inputs, ReLU gates, softmax probabilities and plain adjoints) is the
-state of the point (w, mask). Building a :class:`HessianAt` computes it
-once, into a :class:`Workspace`, so a Lanczos or Hutchinson loop at one
-point runs the forward pass once; a one-off :func:`hvp` builds the operator
-for itself.
+state of the point (w, mask). ``hvp_at(w)`` builds it once, into a
+:class:`HessianAt` with an evaluator of its own, so a Lanczos or Hutchinson
+loop at one point runs the forward pass once.
 
 Two conventions worth knowing:
 
@@ -33,19 +34,19 @@ Two conventions worth knowing:
   convention), so HVPs are exact away from kinks.
 
 Training calls :func:`grad` once per SGD step, so the passes run as bare
-numpy, and a run passes one :class:`Workspace` to every step: the masked
-weights, the activations, gates, adjoints and the gradient are written into
-its buffers instead of being allocated. Forward-only evaluations
-(:func:`forward_loss`, :func:`accuracy_on`) take a workspace the same way,
-so a loop of losses at one mask and one slice, such as an IMP level's
-trajectory, allocates its buffers once. Layers are views of a flat vector
-through the spec's cached layout (:func:`~prunescope.model.split_params`).
-Each in-place operation computes the same expression, with the same operands
-in the same order, as the plain form (``a @ W.T + b``, ``(dz @ W) * gate``,
-...), and each matmul keeps its operand layout (a copied, contiguous ``W.T``
-rounds differently). Floating-point results depend on both, so this keeps
-every gradient, and with it every trained weight and artifact, bit for bit
-what the plain expressions give.
+numpy into an evaluator's buffers: the masked weights, the activations,
+gates, adjoints and the gradient are written there instead of being
+allocated, and a loop of evaluations at one mask allocates them once. Row
+buffers are kept per row count, so a training run's evaluator also serves
+each step's minibatch, passed as the context of the call. Layers are views
+of a flat vector through the spec's cached layout
+(:func:`~prunescope.model.split_params`). Each in-place operation computes
+the same expression, with the same operands in the same order, as the plain
+form (``a @ W.T + b``, ``(dz @ W) * gate``, ...), and each matmul keeps its
+operand layout (a copied, contiguous ``W.T`` rounds differently).
+Floating-point results depend on both, so this keeps every gradient, and
+with it every trained weight and artifact, bit for bit what the plain
+expressions give.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError
-from .model import NetworkSpec, apply_mask, split_params
+from .model import NetworkSpec, split_params
 
 
 @dataclass(frozen=True)
@@ -106,26 +107,9 @@ class LossContext:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @functools.cached_property
-    def label_index(self) -> np.ndarray:
-        """Flat position of each sample's label in a C-ordered (n, classes) array."""
-        return np.arange(self.n) * self.spec.output_size + self.labels
-
-    # The protocol of the landscape probes, over (w, mask).
-    def loss(self, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None) -> float:
-        """Mean softmax cross-entropy of the masked network over the slice; the
-        pass writes into ``workspace`` (built for this very ``mask``) if given."""
-        return forward_loss(self, w, mask, workspace)
-
-    def grad(
-        self, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None
-    ) -> GradResult:
-        return grad(self, w, mask, workspace)
-
-    def hvp_at(self, w: np.ndarray, mask: np.ndarray) -> HessianAt:
-        """The operator v -> H v at (w, mask). Building it runs the forward
-        pass, which its products share; a non-finite one raises here."""
-        return HessianAt(self, w, mask)
+    def at(self, mask: np.ndarray) -> Evaluator:
+        """The evaluator of this context at ``mask`` (one bool per parameter)."""
+        return Evaluator(self, mask)
 
 
 @dataclass(frozen=True)
@@ -134,27 +118,26 @@ class GradResult:
     gradient: np.ndarray
 
 
-class Workspace:
-    """The arrays one run of gradient steps reuses, for one spec and one mask;
-    a :class:`HessianAt` keeps its point's state in one as well, and a loop
-    of forward-only evaluations (:func:`forward_loss`, :func:`accuracy_on`)
-    can write into one.
+class Evaluator:
+    """A context's evaluations at one mask, and the arrays they reuse.
 
-    It holds the masked weights with their layer views, and per batch size
-    the row buffers (:class:`_RowBuffers`). The gradient and its layer views
-    are made on :func:`grad`'s first call, so a workspace that only runs
-    forward passes or HVPs never holds them. A training run meets at most
-    two batch sizes: its own and the epoch's short last batch. :func:`grad`
-    returns ``gradient`` itself, so the next call with the same workspace
-    overwrites the result.
+    ``loss(w)``, ``accuracy(w)`` and ``grad(w)`` evaluate at ``mask * w``;
+    ``hvp_at(w)`` is the operator v -> H v there. The evaluator holds the
+    masked weights with their layer views, and per row count the row buffers
+    (:class:`_RowBuffers`). The gradient and its layer views are made on the
+    first :func:`grad`, so an evaluator that only runs forward passes never
+    holds them. :func:`grad` returns ``gradient`` itself, so the next call
+    overwrites the result. The buffers make an evaluator serve one caller
+    at a time.
 
     ``keep`` is the bool ``mask`` as 0.0/1.0 floats. Multiplying by it
     rounds exactly as multiplying by the mask, since numpy casts the bools
     to those floats, but skips that cast: about 3x faster on a 17k vector.
     """
 
-    def __init__(self, spec: NetworkSpec, mask: np.ndarray):
-        self.spec = spec
+    def __init__(self, ctx: LossContext, mask: np.ndarray):
+        spec = ctx.spec
+        self.ctx = ctx
         self.mask = np.asarray(mask, dtype=bool)
         if self.mask.shape != (spec.param_count,):
             raise DimensionMismatchError(
@@ -165,13 +148,28 @@ class Workspace:
         self.layers = split_params(spec, self.weights)
         self._rows: dict[int, _RowBuffers] = {}
 
+    def loss(self, w: np.ndarray) -> float:
+        """Mean softmax cross-entropy of the masked network over the slice."""
+        return forward_loss(self.ctx, w, self)
+
+    def accuracy(self, w: np.ndarray) -> float:
+        return accuracy_on(self.ctx, w, self)
+
+    def grad(self, w: np.ndarray) -> GradResult:
+        return grad(self.ctx, w, self)
+
+    def hvp_at(self, w: np.ndarray) -> HessianAt:
+        """The operator v -> H v at (w, mask). Building it runs the forward
+        pass, which its products share; a non-finite one raises here."""
+        return HessianAt(self.ctx, w, self.mask)
+
     @functools.cached_property
     def gradient(self) -> np.ndarray:
-        return np.empty(self.spec.param_count)
+        return np.empty(self.ctx.spec.param_count)
 
     @functools.cached_property
     def grads(self) -> list:
-        return split_params(self.spec, self.gradient)
+        return split_params(self.ctx.spec, self.gradient)
 
     def masked_layers(self, w: np.ndarray) -> list:
         """The layers of ``mask * w``, written into ``weights``."""
@@ -184,16 +182,17 @@ class Workspace:
     def rows(self, n: int) -> _RowBuffers:
         buffers = self._rows.get(n)
         if buffers is None:
-            buffers = self._rows[n] = _RowBuffers(self.spec, n)
+            buffers = self._rows[n] = _RowBuffers(self.ctx.spec, n)
         return buffers
 
 
 class _RowBuffers:
-    """A workspace's per-layer arrays for batches of ``n`` rows: each layer's
+    """An evaluator's per-layer arrays for slices of ``n`` rows: each layer's
     pre-activation, which a hidden layer's ReLU overwrites with its
-    activation, each hidden layer's gate and adjoint, and the label offsets.
-    The gates and adjoints are made on first use, so forward-only passes
-    never hold them."""
+    activation, each hidden layer's gate and adjoint, and the row offsets
+    that place each row's label in the flat (n, classes) logits. The gates
+    and adjoints are made on first use, so forward-only passes never hold
+    them."""
 
     def __init__(self, spec: NetworkSpec, n: int):
         self.hidden = [(n, k) for k in spec.layer_sizes[1:-1]]
@@ -217,8 +216,8 @@ def _check_finite(x: np.ndarray, node: str) -> None:
         raise NumericalFailureError(f"non-finite value produced by node {node}")
 
 
-def _forward(ctx: LossContext, layers, rows: _RowBuffers | None = None):
-    """Each layer's input and output, written into ``rows`` if given.
+def _forward(ctx: LossContext, layers, rows: _RowBuffers):
+    """Each layer's input and output, written into ``rows``.
 
     The last output is the logits. A hidden layer's ReLU overwrites its
     pre-activation, so its output is the next layer's input, and ``a > 0``
@@ -229,7 +228,7 @@ def _forward(ctx: LossContext, layers, rows: _RowBuffers | None = None):
     a = ctx.features
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        z = np.matmul(a, W.T, out=None if rows is None else rows.pre[i])
+        z = np.matmul(a, W.T, out=rows.pre[i])
         z += b
         _check_finite(z, f"affine[{i}]")
         inputs.append(a)
@@ -239,25 +238,12 @@ def _forward(ctx: LossContext, layers, rows: _RowBuffers | None = None):
     return inputs, out
 
 
-def _masked_layers(ctx: LossContext, w: np.ndarray, mask: np.ndarray):
-    return split_params(ctx.spec, apply_mask(w, mask))
-
-
-def _layers_and_rows(ctx: LossContext, w, mask, workspace: Workspace | None):
-    """The masked layers of ``w`` and the row buffers of ``workspace``, which
-    must have been built for this very ``mask`` object (``None`` without one:
-    the pass allocates)."""
-    if workspace is None:
-        return _masked_layers(ctx, w, mask), None
-    if mask is not workspace.mask:
-        raise ValueError("the workspace was built for another mask")
-    return workspace.masked_layers(w), workspace.rows(ctx.n)
-
-
 def _softmax_ce(logits: np.ndarray, label_index: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and the per-row log-sum-exp of the logits.
 
-    Callers that need the softmax probabilities form ``exp(logits - lse)``.
+    ``label_index`` is each row's label as a flat position in the C-ordered
+    logits. Callers that need the softmax probabilities form
+    ``exp(logits - lse)``.
     """
     zmax = _row_max(logits)
     shifted = logits - zmax
@@ -311,74 +297,64 @@ def _adjoints(layers, gates, dz: np.ndarray, rows: _RowBuffers) -> list:
     return adjoints
 
 
-def forward_loss(
-    ctx: LossContext, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None
-) -> float:
-    """Mean cross-entropy at ``mask * w``, written into ``workspace`` if given."""
-    _, out = _forward(ctx, *_layers_and_rows(ctx, w, mask, workspace))
-    return _softmax_ce(out[-1], ctx.label_index)[0]
+def forward_loss(ctx: LossContext, w: np.ndarray, ev: Evaluator) -> float:
+    """Mean cross-entropy of ``ctx`` at ``ev.mask * w``, in ``ev``'s buffers."""
+    rows = ev.rows(ctx.n)
+    _, out = _forward(ctx, ev.masked_layers(w), rows)
+    return _softmax_ce(out[-1], rows.offsets + ctx.labels)[0]
 
 
-def accuracy_on(
-    ctx: LossContext, w: np.ndarray, m: np.ndarray, workspace: Workspace | None = None
-) -> float:
-    """Fraction of samples whose argmax logit matches the label.
+def accuracy_on(ctx: LossContext, w: np.ndarray, ev: Evaluator) -> float:
+    """Fraction of ``ctx``'s samples whose argmax logit at ``ev.mask * w``
+    matches the label.
 
-    Ties resolve to the lowest class index (numpy argmax convention). The
-    pass writes into ``workspace`` if given.
+    Ties resolve to the lowest class index (numpy argmax convention).
     """
-    _, out = _forward(ctx, *_layers_and_rows(ctx, w, m, workspace))
+    _, out = _forward(ctx, ev.masked_layers(w), ev.rows(ctx.n))
     predictions = np.argmax(out[-1], axis=1)
     return float(np.mean(predictions == ctx.labels))
 
 
-def grad(
-    ctx: LossContext, w: np.ndarray, mask: np.ndarray, workspace: Workspace | None = None
-) -> GradResult:
-    """Loss and exact gradient at ``mask * w``, zeroed on masked coordinates.
-
-    The passes write into ``workspace``, which must have been built for this
-    very ``mask`` object, and whose ``gradient`` is the returned vector;
-    without one the call builds its own.
-    """
-    if workspace is None:
-        workspace = Workspace(ctx.spec, mask)
-        mask = workspace.mask
-    layers, rows = _layers_and_rows(ctx, w, mask, workspace)
+def grad(ctx: LossContext, w: np.ndarray, ev: Evaluator) -> GradResult:
+    """Loss and exact gradient of ``ctx`` at ``ev.mask * w``, zeroed on masked
+    coordinates. The passes write into ``ev``, whose ``gradient`` is the
+    returned vector."""
+    layers, rows = ev.masked_layers(w), ev.rows(ctx.n)
     inputs, out = _forward(ctx, layers, rows)
     label_index = rows.offsets + ctx.labels
     loss, lse = _softmax_ce(out[-1], label_index)
     gates = [np.greater(a, 0.0, out=g) for a, g in zip(out, rows.gates)]
     dz = _to_ce_adjoint(_probs(out[-1], lse), label_index)
-    for (gW, gb), adjoint, a in zip(workspace.grads, _adjoints(layers, gates, dz, rows), inputs):
+    for (gW, gb), adjoint, a in zip(ev.grads, _adjoints(layers, gates, dz, rows), inputs):
         np.matmul(adjoint.T, a, out=gW)
         np.add.reduce(adjoint, axis=0, out=gb)
-    workspace.gradient *= workspace.keep
-    return GradResult(loss, workspace.gradient)
+    ev.gradient *= ev.keep
+    return GradResult(loss, ev.gradient)
 
 
 class HessianAt:
     """The operator v -> H v at one point (w, mask) of a context.
 
     Building it runs the forward pass, the softmax head and the plain
-    backward pass once, into a :class:`Workspace`; a non-finite forward pass
-    raises here. Every product reuses that state and writes into the
-    operator's tangent buffers. It goes through this module's :func:`hvp`,
-    looked up at call time, so it is counted like a one-off product. Keep
-    the operator (about ten activation-sized arrays) in a loop's local variable.
+    backward pass once, into an evaluator of its own: a loss on a shared
+    one would overwrite the point's state. A non-finite forward pass raises
+    here. Every product reuses that state, writes into the operator's
+    tangent buffers and goes through this module's :func:`hvp`, looked up
+    at call time. Keep the operator (about ten activation-sized arrays) in
+    a loop's local variable.
     """
 
     def __init__(self, ctx: LossContext, w: np.ndarray, mask: np.ndarray):
         self.ctx = ctx
-        self.w = w
-        self.workspace = ws = Workspace(ctx.spec, mask)
-        rows = ws.rows(ctx.n)
-        self.layers = ws.masked_layers(w)
+        self.evaluator = ev = Evaluator(ctx, mask)
+        rows = ev.rows(ctx.n)
+        self.layers = ev.masked_layers(w)
         self.inputs, out = _forward(ctx, self.layers, rows)
-        _, lse = _softmax_ce(out[-1], ctx.label_index)
+        label_index = rows.offsets + ctx.labels
+        _, lse = _softmax_ce(out[-1], label_index)
         self.probs = _probs(out[-1], lse)
         self.gates = [np.greater(a, 0.0, out=g) for a, g in zip(out, rows.gates)]
-        dz = _to_ce_adjoint(self.probs.copy(), ctx.label_index)
+        dz = _to_ce_adjoint(self.probs.copy(), label_index)
         self.adjoints = _adjoints(self.layers, self.gates, dz, rows)
         self.zero_input = np.zeros_like(ctx.features)  # R{input} of the first layer
         # per layer: R{pre-activation}, then R{dz} of the layer below
@@ -388,26 +364,18 @@ class HessianAt:
         self.hw = [np.empty_like(W) for W, _ in self.layers]  # per layer: dz.T @ R{input}
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        return hvp(self.ctx, self.w, self.workspace.mask, v, self)
+        return hvp(self.ctx, v, self)
 
 
-def hvp(
-    ctx: LossContext,
-    w: np.ndarray,
-    mask: np.ndarray,
-    v: np.ndarray,
-    at: HessianAt | None = None,
-) -> np.ndarray:
-    """Hessian-vector product H @ v restricted to the mask's active subspace.
+def hvp(ctx: LossContext, v: np.ndarray, at: HessianAt) -> np.ndarray:
+    """Hessian-vector product H @ v at the point of ``at``, restricted to its
+    mask's active subspace.
 
     Equivalent to differentiating <grad(w), v>: a tangent copy of v is pushed
     through the forward pass, then through the backward pass (the R-operator),
     so the result is exact to machine precision for the piecewise-smooth loss.
-    ``at`` is the operator at (w, mask) whose point state the product reuses;
-    without one the call builds it for itself.
     """
-    at = HessianAt(ctx, w, mask) if at is None else at
-    layers, inputs, gates, keep = at.layers, at.inputs, at.gates, at.workspace.keep
+    layers, inputs, gates, keep = at.layers, at.inputs, at.gates, at.evaluator.keep
     v = np.asarray(v, dtype=np.float64)
     if v.shape != keep.shape:
         raise DimensionMismatchError(f"mask length {keep.shape} != vector {v.shape}")

@@ -32,6 +32,13 @@ def _check_real(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
 
 
+def _check_paths(source) -> None:
+    for name in source.__dataclass_fields__:
+        value = getattr(source, name)
+        if name != "kind" and not (isinstance(value, str) and value):
+            raise ValueError(f"{name} must be a nonempty path string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpiralsSource:
     kind: str = "spirals"
@@ -53,6 +60,9 @@ class CsvSource:
     train_path: str = ""
     test_path: str = ""
 
+    def __post_init__(self):
+        _check_paths(self)
+
 
 @dataclass(frozen=True)
 class IdxSource:
@@ -61,6 +71,9 @@ class IdxSource:
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
+
+    def __post_init__(self):
+        _check_paths(self)
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,20 @@ class TrainingSettings:
     decay_factor: float = 0.1
     rewind_step: int = 200
 
+    def __post_init__(self):
+        # types and signs; Hyperparams keeps its own rules (momentum below
+        # 1, decay epochs increasing and before the last epoch)
+        for name, least in (("epochs", 1), ("batch_size", 1), ("rewind_step", 0)):
+            _check_count(name, getattr(self, name), least)
+        if not isinstance(self.decay_epochs, tuple):
+            raise ValueError(f"decay_epochs must be a list, got {self.decay_epochs!r}")
+        for epoch in self.decay_epochs:
+            _check_count("each decay epoch", epoch, 0)
+        for name, positive in (
+            ("lr0", True), ("momentum", False), ("weight_decay", False), ("decay_factor", True),
+        ):
+            _check_real(name, getattr(self, name), positive)
+
 
 @dataclass(frozen=True)
 class ImpSettings:
@@ -83,6 +110,14 @@ class ImpSettings:
     ft_lr: float = 0.001
     ft_epochs: int = 40
     per_layer: bool = False
+
+    def __post_init__(self):
+        # ImpConfig checks the prune fraction and the strategy
+        _check_count("levels", self.levels, 0)
+        _check_count("ft_epochs", self.ft_epochs, 1)
+        _check_real("ft_lr", self.ft_lr, positive=True)
+        if not isinstance(self.per_layer, bool):
+            raise ValueError(f"per_layer must be true or false, got {self.per_layer!r}")
 
 
 @dataclass(frozen=True)

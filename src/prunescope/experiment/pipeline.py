@@ -70,7 +70,7 @@ import numpy as np
 from .. import landscape
 from ..data import analysis_subset, gen_spirals, load_csv, load_idx, save_csv
 from ..errors import ArtifactMissingError, ConfigError
-from ..autodiff import LossContext, Workspace, accuracy_on
+from ..autodiff import LossContext
 from ..model import NetworkSpec, apply_mask, prunable_coords
 from ..numerics import RngStream
 from ..pruning import (
@@ -199,8 +199,8 @@ class PipelineState:
             role=role,
             step=step,
             seed=self.cfg.master_seed,
-            train_loss=self.train_ctx.loss(params, mask),
-            test_accuracy=accuracy_on(self.test_ctx, params, mask),
+            train_loss=self.train_ctx.at(mask).loss(params),
+            test_accuracy=self.test_ctx.at(mask).accuracy(params),
         )
         save_checkpoint(self.artifact(f"checkpoints/{name}.ckpt"), cp)
         self._checkpoints[name] = cp
@@ -279,17 +279,16 @@ def _trajectory_rows(state: PipelineState, art: LevelArtifacts, prev: LevelArtif
     """End-of-epoch full-train losses: level-L iterates vs the previous
     level's iterates hard-projected onto level L's mask. The last iterate is
     level L's solution, whose loss its checkpoint already holds. Every loss
-    writes into one workspace on level L's mask, which also projects the
+    runs through one evaluator at level L's mask, which also projects the
     previous level's iterates: (p * m) * m equals p * m exactly."""
-    ctx, mask = state.train_ctx, art.mask
-    ws = Workspace(ctx.spec, mask)
+    ev = state.train_ctx.at(art.mask)
     current, previous = art.record.epoch_params, prev.record.epoch_params
     final_loss = state.checkpoint(level_name(art.level)).train_loss
     return [
         [
             epoch,
-            final_loss if epoch == len(current) - 1 else ctx.loss(current[epoch], mask, ws),
-            ctx.loss(previous[epoch], mask, ws),
+            final_loss if epoch == len(current) - 1 else ev.loss(current[epoch]),
+            ev.loss(previous[epoch]),
         ]
         for epoch in range(min(len(current), len(previous)))
     ]
@@ -347,7 +346,7 @@ def stage_metrics(state: PipelineState) -> None:
                 cp.level,
                 sparsity(cp.mask),
                 cp.train_loss,
-                actx.loss(cp.params, cp.mask),
+                actx.at(cp.mask).loss(cp.params),
                 cp.test_accuracy,
                 _refs(name),
             ]
@@ -363,10 +362,11 @@ def stage_metrics(state: PipelineState) -> None:
         prev_name = level_name(levels - 1)
         prev = state.checkpoint(prev_name)
         rand = impact_random_mask(state.cfg.imp_config(), prev.mask, prunable_coords(state.spec))
-        before = actx.loss(prev.params, prev.mask)
+        params, mask = state.point(prev_name, level_name(levels))
+        before = actx.at(prev.mask).loss(prev.params)
         after = {
-            "magnitude": actx.loss(*state.point(prev_name, level_name(levels))),
-            "random": actx.loss(apply_mask(prev.params, rand), rand),
+            "magnitude": actx.at(mask).loss(params),
+            "random": actx.at(rand).loss(apply_mask(prev.params, rand)),
         }
         write_csv(
             state.artifact("analysis/prune_impact.csv"),
@@ -448,7 +448,7 @@ def stage_radius(state: PipelineState) -> None:
         "prev_reverse_final": (final, prev),
     }
     points = {name: state.point(*pair) for name, pair in profiles.items()}
-    losses = {name: actx.loss(*point) for name, point in points.items()}
+    losses = {name: actx.at(mask).loss(params) for name, (params, mask) in points.items()}
     # a mask's cutoff bounds both its own minimum and the projection onto it
     cutoffs = {
         final: landscape.basin_cutoff(losses["final_min"], losses["final_projected_prev"]),
@@ -748,8 +748,8 @@ def run_pipeline(
         manifest = previous
     else:  # another config's files, which the new one need not all overwrite
         for rel in previous["hashes"]:
-            path = (out / rel).resolve()
-            if path.is_relative_to(out.resolve()) and path.is_file():
+            path = out / rel  # is_file is False for a path no file can have
+            if path.is_file() and path.resolve().is_relative_to(out.resolve()):
                 path.unlink()
 
     state = PipelineState(cfg, out)

@@ -65,8 +65,9 @@ MANIFEST_KEYS = {
 
 def load_manifest(out_dir) -> dict:
     """The run's manifest; :class:`ArtifactMissingError` if it is absent,
-    does not parse, is not an object holding ``MANIFEST_KEYS``, or has a
-    stage that is not a list of strings or a hash that is not a string."""
+    does not parse, is not an object holding ``MANIFEST_KEYS``, has a stage
+    that is not a list of strings or a hash that is not a string, or marks
+    complete a stage it lists no artifacts for."""
     path = Path(out_dir) / MANIFEST_NAME
     if not path.exists():
         raise ArtifactMissingError(f"no {MANIFEST_NAME} under {out_dir}")
@@ -83,4 +84,6 @@ def load_manifest(out_dir) -> dict:
         for rels in manifest["stages"].values()
     ) or not all(isinstance(digest, str) for digest in manifest["hashes"].values()):
         raise ArtifactMissingError(f"{path} is not a manifest: a stage or a hash of another shape")
+    if not all(isinstance(name, str) and name in manifest["stages"] for name in manifest["complete"]):
+        raise ArtifactMissingError(f"{path} is not a manifest: a complete stage without its artifacts")
     return manifest

@@ -1,14 +1,17 @@
 """Loss-landscape geometry probes around trained solutions.
 
-Everything here works through a small context protocol — ``ctx.loss(w, mask)``,
-``ctx.grad(w, mask)`` and ``ctx.hvp_at(w, mask)``, the operator ``v -> H v``
-at one point — normally provided by :class:`prunescope.autodiff.LossContext`
-over the frozen analysis subset of the training data. The loops that
-multiply at a fixed point (Lanczos, Hutchinson probes, the exact diagonal)
-take one operator per point, so their products share the point's forward
-pass. Analyses that compare a solution across sparsity levels
-take the mask explicitly because the Hessian, directions, and radii all live
-in the active subspace of whichever level's mask the caller chooses.
+Everything here evaluates through one protocol: ``ctx.at(mask)`` returns an
+evaluator whose ``loss(w)``, ``grad(w)`` and ``hvp_at(w)`` (the operator
+``v -> H v`` at one point) run at that mask, normally the
+:class:`prunescope.autodiff.Evaluator` of a
+:class:`~prunescope.autodiff.LossContext` over the frozen analysis subset of
+the training data. Each probe takes one evaluator for everything it scans at
+one mask: a radius profile, an interpolation curve, a surface grid. The
+loops that multiply at a fixed point (Lanczos, Hutchinson probes, the exact
+diagonal) take one operator per point, so their products share the point's
+forward pass. Analyses that compare a solution across sparsity levels take
+the mask explicitly because the Hessian, directions, and radii all live in
+the active subspace of whichever level's mask the caller chooses.
 
 The probes:
 
@@ -99,7 +102,7 @@ def top_k_eigenvalues(
     if active == 0:
         raise EmptySubspaceError("mask has no active coordinates")
     n_iter = min(max(4 * k, k + 40), active)
-    hessian = ctx.hvp_at(w, m)
+    hessian = ctx.at(m).hvp_at(w)
 
     best: EigenReport | None = None
     for restart in range(LANCZOS_RESTARTS + 1):
@@ -170,7 +173,7 @@ def basin_cutoff(loss_a: float, loss_b: float) -> float:
 
 
 def basin_radius(
-    ctx, center: np.ndarray, m: np.ndarray, direction: np.ndarray, cutoff: float,
+    at, center: np.ndarray, direction: np.ndarray, cutoff: float,
     center_loss: float | None = None,
 ) -> float:
     """Distance along a unit direction at which the loss reaches the cutoff,
@@ -202,25 +205,25 @@ def basin_radius(
     most ``2 * RADIUS_TOL`` wide and returns its midpoint, which lies within
     ``RADIUS_TOL`` of the crossing.
 
-    ``center_loss`` is ``ctx.loss(center, m)`` if the caller has it, as
+    ``at`` is the evaluator at the profile's mask, ``ctx.at(mask)``.
+    ``center_loss`` is ``at.loss(center)`` if the caller has it, as
     :func:`mc_radius_profile` does; otherwise it is evaluated here. Either
     way a center loss not below the cutoff raises.
     """
     direction = np.asarray(direction, dtype=np.float64)
-    m = np.asarray(m, dtype=bool)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-8:
         raise ValueError("direction must have unit norm")
-    if np.any(direction[~m] != 0.0):
+    if np.any(direction[~at.mask] != 0.0):
         raise ValueError("direction must be zero on masked coordinates")
     if center_loss is None:
-        center_loss = ctx.loss(center, m)
+        center_loss = at.loss(center)
     if center_loss >= cutoff:
         raise ValueError(
             f"center loss {center_loss} is not below the cutoff {cutoff}"
         )
 
     def excess(r: float) -> float:
-        return ctx.loss(center + r * direction, m) - cutoff
+        return at.loss(center + r * direction) - cutoff
 
     lo, f_lo = 0.0, center_loss - cutoff
     r = RADIUS_START
@@ -291,16 +294,18 @@ def mc_radius_profile(
     """Radii along ``n_directions`` independent random unit directions.
 
     Direction i draws from the stream derived at index i, so results are
-    keyed by index and independent of evaluation order. The center loss is
-    evaluated once, for every direction.
+    keyed by index and independent of evaluation order. One evaluator at
+    ``m`` serves every loss, and the center loss is evaluated once, for
+    every direction.
     """
     if n_directions < 1:
         raise ValueError("need at least one direction")
-    center_loss = ctx.loss(center, m)
+    at = ctx.at(m)
+    center_loss = at.loss(center)
 
     def one(i: int) -> float:
-        direction = random_unit_direction(m, rng.derive(i))
-        return basin_radius(ctx, center, m, direction, cutoff, center_loss)
+        direction = random_unit_direction(at.mask, rng.derive(i))
+        return basin_radius(at, center, direction, cutoff, center_loss)
 
     radii = np.array(parallel_map(one, range(n_directions)))
     if not np.isfinite(radii).any():
@@ -346,9 +351,9 @@ def interpolate_losses(
         raise DimensionMismatchError("endpoints must share a layout")
     if n_points < 2:
         raise ValueError("need at least the two endpoints")
-    full = np.ones(p.size, dtype=bool)
+    at = ctx.at(np.ones(p.size, dtype=bool))
     alphas = np.linspace(0.0, 1.0, n_points)
-    losses = np.array([ctx.loss(lerp(p, q, float(a)), full) for a in alphas])
+    losses = np.array([at.loss(lerp(p, q, float(a))) for a in alphas])
     return InterpolationCurve(alphas, losses)
 
 
@@ -417,7 +422,7 @@ def surface_grid(
         raise ValueError("grid needs at least 2 rows and 2 cols")
     origin = np.asarray(anchors[0], dtype=np.float64)
     u, v = plane_basis(origin, anchors[1], anchors[2])
-    full = np.ones(origin.size, dtype=bool)
+    at = ctx.at(np.ones(origin.size, dtype=bool))
 
     names = list(anchor_names) + (
         extra_names
@@ -429,7 +434,7 @@ def surface_grid(
     for name, vec in zip(names, vectors):
         x, y = project_to_plane(vec, origin, u, v)
         residual = float(np.linalg.norm(vec - (origin + x * u + y * v)))
-        points.append(SurfacePoint(name, x, y, ctx.loss(vec, full), residual))
+        points.append(SurfacePoint(name, x, y, at.loss(vec), residual))
 
     px = np.array([p.x for p in points])
     py = np.array([p.y for p in points])
@@ -440,7 +445,7 @@ def surface_grid(
 
     def cell(flat_index: int) -> float:
         i, j = divmod(flat_index, cols)
-        return ctx.loss(origin + xs[j] * u + ys[i] * v, full)
+        return at.loss(origin + xs[j] * u + ys[i] * v)
 
     flat = np.array(parallel_map(cell, range(rows * cols)))
     losses = flat.reshape(rows, cols)
@@ -473,7 +478,7 @@ def hutchinson_diagonal(
     """Stochastic Hessian-diagonal estimate: mean of z * (H z) over Rademacher
     probes restricted to active coordinates."""
     m = np.asarray(m, dtype=bool)
-    hessian = ctx.hvp_at(w, m)
+    hessian = ctx.at(m).hvp_at(w)
 
     def one(j: int) -> np.ndarray:
         gen = rng.derive(j).generator()
@@ -486,7 +491,7 @@ def hutchinson_diagonal(
 
 def exact_diagonal(ctx, w: np.ndarray, m: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Exact Hessian diagonal at the given coordinates (one HVP each)."""
-    hessian = ctx.hvp_at(w, m)
+    hessian = ctx.at(m).hvp_at(w)
     diag = np.zeros(m.size)
     for i in coords:
         e = np.zeros(m.size)
@@ -509,7 +514,10 @@ def taylor_prune_estimate(
     The perturbation is dW = (m_after * w) - w; the prediction is
     <dW, g> + 0.5 * <dW, diag(H) * dW> with the diagonal either estimated by
     Hutchinson probes or computed exactly (one HVP per perturbed coordinate,
-    intended for small active sets). Returns (predicted, actual) loss deltas.
+    intended for small active sets). One evaluator at ``m_before`` gives the
+    gradient and the loss before, one at ``m_after`` the loss after; they are
+    made after the diagonal, so that their buffers and the probes' samples
+    are never held at once. Returns (predicted, actual) loss deltas.
     """
     m_before = np.asarray(m_before, dtype=bool)
     m_after = np.asarray(m_after, dtype=bool)
@@ -519,11 +527,12 @@ def taylor_prune_estimate(
         raise ConfigError("probe count must be at least 1")
     wm = apply_mask(w, m_before)
     delta = apply_mask(wm, m_after) - wm
-    g = ctx.grad(wm, m_before).gradient
     if use_exact_diagonal:
         diag = exact_diagonal(ctx, wm, m_before, np.flatnonzero(delta != 0.0))
     else:
         diag = hutchinson_diagonal(ctx, wm, m_before, probes, rng)
+    before = ctx.at(m_before)
+    g = before.grad(wm).gradient
     predicted = float(np.dot(delta, g) + 0.5 * np.dot(delta, diag * delta))
-    actual = ctx.loss(wm, m_after) - ctx.loss(wm, m_before)
+    actual = ctx.at(m_after).loss(wm) - before.loss(wm)
     return predicted, float(actual)

@@ -9,14 +9,15 @@ record's ``test_acc`` evaluates it at the end of each epoch.
 
 Each step takes its batch through :meth:`LossContext.rows`, which skips
 re-validating rows of the already validated context, and differentiates it
-through that context's ``grad`` with one :class:`~prunescope.autodiff.Workspace`
-per run, so the step's forward and backward passes write into the same
-buffers every time. It then updates the velocity and the weights in place,
+with :func:`prunescope.autodiff.grad` into one
+:class:`~prunescope.autodiff.Evaluator` per run, ``ctx.at(mask)``, so the
+step's forward and backward passes write into the same buffers every time.
+It then updates the velocity and the weights in place,
 in two preallocated buffers. The in-place form keeps the plain update's
 operations and their order, ``g + wd*w``, then ``mom*v + update``, then
 ``w - lr*v``, then ``w *= mask``, because floating-point results depend on
 that order: reordering would change the trained weights, and with them every
-checkpoint and analysis artifact. The masking multiplies by the workspace's
+checkpoint and analysis artifact. The masking multiplies by the evaluator's
 float copy of the mask, which rounds exactly as the bool mask does.
 """
 
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import LossContext, Workspace, accuracy_on
+from . import autodiff
+from .autodiff import LossContext
 from .data import epoch_batches
 from .errors import DivergenceError
 from .model import apply_mask
@@ -109,8 +111,8 @@ def train(
     (it equals the final vector when training ends first).
     """
     steps_per_epoch = math.ceil(ctx.n / hp.batch_size)
-    workspace = Workspace(ctx.spec, mask)
-    mask = workspace.mask
+    ev = ctx.at(mask)
+    mask = ev.mask
     w = apply_mask(start, mask)
     velocity = np.zeros_like(w)
     update = np.empty_like(w)
@@ -122,7 +124,7 @@ def train(
     for epoch in range(hp.epochs):
         loss_sum = 0.0
         for batch_idx in epoch_batches(ctx.n, hp.batch_size, epoch, shuffle):
-            result = ctx.rows(batch_idx).grad(w, mask, workspace)
+            result = autodiff.grad(ctx.rows(batch_idx), w, ev)
             if not math.isfinite(result.loss) or result.loss > DIVERGENCE_CAP:
                 raise DivergenceError(
                     f"training diverged at step {step} (loss={result.loss})", step
@@ -135,13 +137,13 @@ def train(
             velocity += update
             np.multiply(velocity, lr_at(hp, schedule_offset + step, steps_per_epoch), out=update)
             w -= update
-            w *= workspace.keep  # pruned coordinates stay exactly zero
+            w *= ev.keep  # pruned coordinates stay exactly zero
             step += 1
             loss_sum += result.loss * batch_idx.size
             if step == hp.rewind_step:
                 rewind = w.copy()
         record.train_loss.append(loss_sum / ctx.n)
-        record.test_acc.append(accuracy_on(test, w, mask))
+        record.test_acc.append(test.at(mask).accuracy(w))
         record.lr.append(
             lr_at(hp, schedule_offset + epoch * steps_per_epoch, steps_per_epoch)
         )

@@ -1,10 +1,12 @@
 """Shared fixtures: analytic loss contexts and finite-difference oracles.
 
-The landscape module consumes any object with the evaluator protocol of
-:class:`prunescope.autodiff.LossContext`: ``loss(w, mask)``,
-``grad(w, mask)`` and ``hvp_at(w, mask)``, the operator ``v -> H v`` at one
-point. So analytic quadratics double as closed-form oracles for radii,
-spectra, and Taylor estimates.
+The landscape module consumes any object with the protocol of
+:class:`prunescope.autodiff.LossContext`: ``at(mask)`` returns an evaluator
+with a ``mask`` and ``loss(w)``, ``grad(w)`` and ``hvp_at(w)``, the operator
+``v -> H v`` at one point. The fakes here write ``loss(w, mask)``,
+``grad(w, mask)`` and ``hvp(w, mask, v)`` in closed form, and
+:class:`AtMask` binds them to a mask. So analytic quadratics double as
+closed-form oracles for radii, spectra, and Taylor estimates.
 """
 
 from __future__ import annotations
@@ -26,8 +28,31 @@ from prunescope.experiment.config import (
 )
 
 
+class AtMask:
+    """The evaluator route of a fake context: ``at(mask)`` binds the mask to
+    the fake's ``loss``, ``grad`` and ``hvp``."""
+
+    def at(self, mask) -> "BoundFake":
+        return BoundFake(self, np.asarray(mask, dtype=bool))
+
+
 @dataclass(frozen=True)
-class QuadraticContext:
+class BoundFake:
+    ctx: AtMask
+    mask: np.ndarray
+
+    def loss(self, w) -> float:
+        return self.ctx.loss(w, self.mask)
+
+    def grad(self, w) -> GradResult:
+        return self.ctx.grad(w, self.mask)
+
+    def hvp_at(self, w):
+        return functools.partial(self.ctx.hvp, w, self.mask)
+
+
+@dataclass(frozen=True)
+class QuadraticContext(AtMask):
     """loss(w) = offset + 0.5 * (m*w - c)^T H (m*w - c) with closed forms."""
 
     hessian: np.ndarray
@@ -52,16 +77,13 @@ class QuadraticContext:
         m = np.asarray(mask, bool)
         return (self.hessian @ (np.asarray(v) * m)) * m
 
-    def hvp_at(self, w, mask):
-        return functools.partial(self.hvp, w, mask)
-
 
 def diag_quadratic(diag) -> QuadraticContext:
     return QuadraticContext(np.diag(np.asarray(diag, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
-class FlatContext:
+class FlatContext(AtMask):
     """Constant loss everywhere (degenerate landscape)."""
 
     value: float = 0.0
@@ -75,11 +97,8 @@ class FlatContext:
     def hvp(self, w, mask, v) -> np.ndarray:
         return np.zeros(np.asarray(v).size)
 
-    def hvp_at(self, w, mask):
-        return functools.partial(self.hvp, w, mask)
 
-
-class CountingContext:
+class CountingContext(AtMask):
     """Counts the loss evaluations made through it.
 
     Wraps a context, or a 1-D loss ``f(r)`` of the first coordinate.
@@ -93,7 +112,7 @@ class CountingContext:
         self.calls += 1
         if callable(self.inner):
             return self.inner(float(w[0]))
-        return self.inner.loss(w, mask)
+        return self.inner.at(mask).loss(w)
 
 
 def random_net_ctx(seed: int, layer_sizes=(2, 8, 2), n_samples: int = 12):
@@ -137,18 +156,19 @@ def min_preactivation(ctx, w, mask) -> float:
 
 def fd_gradient(ctx, w, mask, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of the loss, coordinate by coordinate."""
+    at = ctx.at(mask)
     g = np.zeros(w.size)
-    for i in np.flatnonzero(np.asarray(mask, bool)):
+    for i in np.flatnonzero(at.mask):
         e = np.zeros(w.size)
         e[i] = h
-        g[i] = (ctx.loss(w + e, mask) - ctx.loss(w - e, mask)) / (2 * h)
+        g[i] = (at.loss(w + e) - at.loss(w - e)) / (2 * h)
     return g
 
 
 def fd_hvp(ctx, w, mask, v, h: float = 1e-4) -> np.ndarray:
     """Central finite difference of gradients along v."""
-    gp = ps.grad(ctx, w + h * v, mask).gradient
-    gm = ps.grad(ctx, w - h * v, mask).gradient
+    gp = ctx.at(mask).grad(w + h * v).gradient
+    gm = ctx.at(mask).grad(w - h * v).gradient
     return (gp - gm) / (2 * h)
 
 
@@ -160,7 +180,7 @@ def fd_hessian(ctx, w, mask, h: float = 1e-5) -> np.ndarray:
         e = np.zeros(d)
         e[i] = h
         H[:, i] = (
-            ps.grad(ctx, w + e, mask).gradient - ps.grad(ctx, w - e, mask).gradient
+            ctx.at(mask).grad(w + e).gradient - ctx.at(mask).grad(w - e).gradient
         ) / (2 * h)
     return 0.5 * (H + H.T)
 

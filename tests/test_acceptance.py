@@ -54,7 +54,7 @@ class TestCriterion1Oracles:
         for case in range(50):
             ctx, w = random_net_ctx(case, layer_sizes=(2, 6, 2), n_samples=8)
             mask = ps.dense_mask(ctx.spec)
-            err = max_rel_err(ps.grad(ctx, w, mask).gradient, fd_gradient(ctx, w, mask))
+            err = max_rel_err(ctx.at(mask).grad(w).gradient, fd_gradient(ctx, w, mask))
             worst = max(worst, err)
         elapsed = time.perf_counter() - t0
         report(
@@ -69,7 +69,7 @@ class TestCriterion1Oracles:
             ctx, w = random_net_ctx(1000 + case, layer_sizes=(2, 6, 2), n_samples=8)
             mask = ps.dense_mask(ctx.spec)
             v = ps.random_unit_direction(mask, ps.RngStream(case, 0xACC))
-            err = max_rel_err(ps.hvp(ctx, w, mask, v), fd_hvp(ctx, w, mask, v))
+            err = max_rel_err(ctx.at(mask).hvp_at(w)(v), fd_hvp(ctx, w, mask, v))
             worst = max(worst, err)
         report("1b", worst <= 1e-4, f"(max rel err {worst:.2e} over 50 cases)")
 
@@ -99,7 +99,7 @@ class TestCriterion1Oracles:
         ]
         worst = 0.0
         for ctx, cutoff, expected in cases:
-            r = ps.basin_radius(ctx, np.zeros(1), np.ones(1, bool), np.array([1.0]), cutoff)
+            r = ps.basin_radius(ctx.at(np.ones(1, bool)), np.zeros(1), np.array([1.0]), cutoff)
             worst = max(worst, abs(r - expected))
         report("1d", worst <= 1e-6, f"(max abs err {worst:.2e})")
 

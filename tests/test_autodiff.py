@@ -11,7 +11,7 @@ from helpers import (
 
 import prunescope as ps
 from prunescope import autodiff
-from prunescope.errors import NumericalFailureError
+from prunescope.errors import DimensionMismatchError, NumericalFailureError
 from prunescope.landscape import hutchinson_diagonal
 from prunescope.model import join_params, split_params
 
@@ -37,7 +37,7 @@ class TestTrivialDerivatives:
         # dlogits = (p - onehot)/n and dW = dlogits^T x exactly
         spec = ps.NetworkSpec((2, 2))
         ctx = ps.LossContext(spec, np.array([[1.0, 2.0]]), np.array([0]))
-        g = ps.grad(ctx, np.zeros(spec.param_count), ps.dense_mask(spec))
+        g = ctx.at(ps.dense_mask(spec)).grad(np.zeros(spec.param_count))
         assert g.loss == pytest.approx(np.log(2.0), abs=1e-15)
         expected = np.array([-0.5, -1.0, 0.5, 1.0, -0.5, 0.5])  # W row-major then b
         np.testing.assert_allclose(g.gradient, expected, atol=1e-15)
@@ -59,7 +59,7 @@ class TestGradOracle:
         for seed in range(8):
             ctx, w = random_net_ctx(seed)
             mask = ps.dense_mask(ctx.spec)
-            g = ps.grad(ctx, w, mask).gradient
+            g = ctx.at(mask).grad(w).gradient
             fd = fd_gradient(ctx, w, mask)
             assert max_rel_err(g, fd) < 1e-6
 
@@ -73,14 +73,14 @@ class TestGradOracle:
             mask[~ps.prunable_coords(ctx.spec)] = True
             if min_preactivation(ctx, w, mask) > 1e-3:
                 break
-        g = ps.grad(ctx, w, mask).gradient
+        g = ctx.at(mask).grad(w).gradient
         fd = fd_gradient(ctx, w, mask)
         assert max_rel_err(g, fd) < 1e-6
 
     def test_loss_matches_ctx_loss_exactly(self):
         ctx, w = random_net_ctx(7)
-        mask = ps.dense_mask(ctx.spec)
-        assert ps.grad(ctx, w, mask).loss == ctx.loss(w, mask)
+        ev = ctx.at(ps.dense_mask(ctx.spec))
+        assert ev.grad(w).loss == ev.loss(w)
 
     def test_dataset_linearity(self):
         # Eq-style structure: loss over a union is the sample-weighted mean
@@ -91,9 +91,9 @@ class TestGradOracle:
         ctx_a = ps.LossContext(ctx.spec, ctx.features[:half], ctx.labels[:half])
         ctx_b = ps.LossContext(ctx.spec, ctx.features[half:], ctx.labels[half:])
         combined = (
-            half * ctx_a.loss(w, mask) + (n - half) * ctx_b.loss(w, mask)
+            half * ctx_a.at(mask).loss(w) + (n - half) * ctx_b.at(mask).loss(w)
         ) / n
-        assert abs(combined - ctx.loss(w, mask)) < 1e-12
+        assert abs(combined - ctx.at(mask).loss(w)) < 1e-12
 
     def test_nonfinite_forward_names_node(self):
         spec = ps.NetworkSpec((2, 4, 2))
@@ -101,7 +101,7 @@ class TestGradOracle:
         w = np.full(spec.param_count, 1e300)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalFailureError, match="affine"):
-                ps.grad(ctx, w, ps.dense_mask(spec))
+                ctx.at(ps.dense_mask(spec)).grad(w)
 
 
     def test_hidden_overflow_zeroed_by_relu_still_raises(self):
@@ -118,9 +118,9 @@ class TestGradOracle:
             logits = np.maximum(hidden, 0.0) @ W2.T
             assert hidden[0, 0] == -np.inf and np.isfinite(logits).all()
             for evaluate in (
-                lambda: ps.grad(ctx, w, mask),
-                lambda: ctx.loss(w, mask),
-                lambda: ps.hvp(ctx, w, mask, np.ones(spec.param_count)),
+                lambda: ctx.at(mask).grad(w),
+                lambda: ctx.at(mask).loss(w),
+                lambda: ctx.at(mask).hvp_at(w)(np.ones(spec.param_count)),
             ):
                 with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
                     evaluate()
@@ -132,7 +132,7 @@ class TestGradOracle:
         w = join_params(spec, [(W1, np.zeros(2)), (np.eye(2), np.zeros(2))])
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalFailureError, match=r"affine\[0\]"):
-                ctx.hvp_at(w, ps.dense_mask(spec))
+                ctx.at(ps.dense_mask(spec)).hvp_at(w)
 
     def test_finite_entries_whose_sum_overflows_pass(self):
         # both hidden pre-activations are 0.9e308: finite, though their sum
@@ -143,7 +143,7 @@ class TestGradOracle:
         W2 = np.array([[1e-300, 0.0], [0.0, 0.0]])
         w = join_params(spec, [(W1, np.zeros(2)), (W2, np.zeros(2))])
         with np.errstate(over="ignore"):  # the sum's overflow is expected
-            result = ps.grad(ctx, w, ps.dense_mask(spec))
+            result = ctx.at(ps.dense_mask(spec)).grad(w)
         assert np.isfinite(result.loss) and np.isfinite(result.gradient).all()
 
 
@@ -221,40 +221,51 @@ class TestBitIdentity:
                 mask = (gen.random(spec.param_count) < 0.6) | ~prunable
                 v = gen.normal(size=spec.param_count)
                 loss, g = reference_grad(ctx, w, mask)
-                result = ps.grad(ctx, w, mask)
+                result = ctx.at(mask).grad(w)
                 assert result.loss == loss
                 assert result.gradient.tobytes() == g.tobytes()
-                hv = ps.hvp(ctx, w, mask, v)
+                hv = ctx.at(mask).hvp_at(w)(v)
                 assert hv.tobytes() == reference_hvp(ctx, w, mask, v).tobytes()
 
     @pytest.mark.parametrize(
         "sizes", [(2, 24, 24, 3), (2, 128, 128, 3), (2, 4, 4, 2), (2, 16, 3)]
     )
     def test_shared_state_matches_one_off_calls(self, sizes):
-        # products through one operator equal one-off hvp calls, and one
-        # workspace reused across batch sizes equals one-off grad calls
+        # products through one operator equal one-off operators' products,
+        # and one evaluator reused across batch sizes, as a training run
+        # reuses its own, equals a fresh evaluator per call
         spec = ps.NetworkSpec(sizes)
         ds = ps.gen_spirals(100, sizes[-1], 0.15, ps.RngStream(3, 1))
         gen = np.random.default_rng(sum(sizes) + 1)
         mask = (gen.random(spec.param_count) < 0.6) | ~ps.prunable_coords(spec)
-        workspace = autodiff.Workspace(spec, mask)
+        run = ps.LossContext(spec, ds.features, ds.labels).at(mask)
         for n in (32, 300, 32):
             ctx = ps.LossContext(spec, ds.features[:n], ds.labels[:n])
             w = gen.normal(size=spec.param_count) * gen.uniform(0.2, 2.0)
-            hessian = ctx.hvp_at(w, mask)
+            hessian = ctx.at(mask).hvp_at(w)
             for _ in range(3):
                 v = gen.normal(size=spec.param_count)
-                assert hessian(v).tobytes() == ps.hvp(ctx, w, mask, v).tobytes()
-            shared = ctx.grad(w, workspace.mask, workspace)
-            one_off = ps.grad(ctx, w, mask)
+                assert hessian(v).tobytes() == ctx.at(mask).hvp_at(w)(v).tobytes()
+            shared = autodiff.grad(ctx, w, run)
+            one_off = ctx.at(mask).grad(w)
             assert shared.loss == one_off.loss
             assert shared.gradient.tobytes() == one_off.gradient.tobytes()
 
     def test_workspace_serves_one_mask(self):
+        # an evaluator carries its mask: evaluators at two masks, used in
+        # turn, each give their own mask's plain result, and a mask of the
+        # wrong length is refused when the evaluator is made
         ctx, w = random_net_ctx(7)
-        workspace = autodiff.Workspace(ctx.spec, ps.dense_mask(ctx.spec))
-        with pytest.raises(ValueError, match="another mask"):
-            ctx.grad(w, ps.dense_mask(ctx.spec), workspace)
+        gen = np.random.default_rng(7)
+        masks = [(gen.random(w.size) < 0.6) | ~ps.prunable_coords(ctx.spec) for _ in range(2)]
+        evaluators = [ctx.at(mask) for mask in masks]
+        for _ in range(2):
+            for ev, mask in zip(evaluators, masks):
+                loss, g = reference_grad(ctx, w, mask)
+                result = ev.grad(w)
+                assert result.loss == loss and result.gradient.tobytes() == g.tobytes()
+        with pytest.raises(DimensionMismatchError, match="mask length"):
+            ctx.at(np.ones(w.size - 1, dtype=bool))
 
 
 def _head_with_reduce(logits, label_index):
@@ -268,7 +279,7 @@ def _head_with_reduce(logits, label_index):
 
 class TestLeanForward:
     """Forward passes with the ReLU in place, the class max by columns, and
-    forward-only evaluations through a workspace."""
+    forward-only evaluations through an evaluator's buffers."""
 
     @pytest.mark.parametrize("hidden", [(16,), (24, 24), (12, 12, 12)], ids=len)
     @pytest.mark.parametrize("classes", [2, 3, 10])
@@ -278,16 +289,19 @@ class TestLeanForward:
         gen = np.random.default_rng(len(hidden) * 100 + classes)
         order = gen.permutation(len(ds.labels))
         mask = (gen.random(spec.param_count) < 0.6) | ~ps.prunable_coords(spec)
-        workspace = autodiff.Workspace(spec, mask)
+        # one evaluator reused across row counts, against a fresh one per
+        # call and the plain expressions
+        shared = ps.LossContext(spec, ds.features, ds.labels).at(mask)
         for n in (1, 32, 300, 1500, 32):
             ctx = ps.LossContext(spec, ds.features[order[:n]], ds.labels[order[:n]])
             for _ in range(2):
                 w = gen.normal(size=spec.param_count) * gen.uniform(0.2, 2.0)
-                loss = ps.LossContext.loss(ctx, w, mask)
-                assert ctx.loss(w, workspace.mask, workspace) == loss
-                assert autodiff.forward_loss(ctx, w, mask, workspace) == loss
-                assert _reference_pass(ctx, w, mask)[3] == loss
-                assert ps.accuracy_on(ctx, w, mask, workspace) == ps.accuracy_on(ctx, w, mask)
+                _, _, pre, loss, _, _ = _reference_pass(ctx, w, mask)
+                assert ctx.at(mask).loss(w) == loss
+                assert autodiff.forward_loss(ctx, w, shared) == loss
+                hits = float(np.mean(np.argmax(pre[-1], axis=1) == ctx.labels))
+                assert ctx.at(mask).accuracy(w) == hits
+                assert autodiff.accuracy_on(ctx, w, shared) == hits
 
     def test_column_max_equals_reduce(self):
         # ties and signed zeros included; a zero max may differ in sign from
@@ -304,12 +318,21 @@ class TestLeanForward:
             assert lse.tobytes() == expected_lse.tobytes()
 
     def test_workspace_for_another_mask_raises(self):
+        # forward-only evaluators at two masks, used in turn, each evaluate
+        # at their own mask; a mask of the wrong length is refused at ctx.at
         ctx, w = random_net_ctx(7)
-        workspace = autodiff.Workspace(ctx.spec, ps.dense_mask(ctx.spec))
-        other = ps.dense_mask(ctx.spec)
-        for evaluate in (autodiff.forward_loss, ps.accuracy_on, ps.LossContext.loss):
-            with pytest.raises(ValueError, match="another mask"):
-                evaluate(ctx, w, other, workspace)
+        sparse = ps.dense_mask(ctx.spec) & ~ps.prunable_coords(ctx.spec)
+        sparse[:3] = True
+        masks = [ps.dense_mask(ctx.spec), sparse]
+        evaluators = [ctx.at(mask) for mask in masks]
+        for _ in range(2):
+            for ev, mask in zip(evaluators, masks):
+                _, _, pre, loss, _, _ = _reference_pass(ctx, w, mask)
+                assert ev.loss(w) == loss
+                assert ev.accuracy(w) == float(np.mean(np.argmax(pre[-1], axis=1) == ctx.labels))
+        for mask in (np.ones(w.size + 1, dtype=bool), np.ones((1, w.size), dtype=bool)):
+            with pytest.raises(DimensionMismatchError, match="mask length"):
+                ctx.at(mask)
 
     def test_forward_only_pass_holds_no_backward_buffers(self):
         # gates and adjoints are made on a row count's first grad; the grad
@@ -320,25 +343,26 @@ class TestLeanForward:
         gen = np.random.default_rng(11)
         mask = (gen.random(spec.param_count) < 0.6) | ~ps.prunable_coords(spec)
         w = gen.normal(size=spec.param_count)
-        workspace = autodiff.Workspace(spec, mask)
-        ctx.loss(w, workspace.mask, workspace)
-        ps.accuracy_on(ctx, w, workspace.mask, workspace)
-        rows = workspace.rows(ctx.n)
+        ev = ctx.at(mask)
+        ev.loss(w)
+        ev.accuracy(w)
+        rows = ev.rows(ctx.n)
         assert "gates" not in vars(rows) and "adjoints" not in vars(rows)
+        assert "gradient" not in vars(ev)
         loss, g = reference_grad(ctx, w, mask)
-        result = ctx.grad(w, workspace.mask, workspace)
+        result = ev.grad(w)
         assert result.loss == loss and result.gradient.tobytes() == g.tobytes()
         assert "gates" in vars(rows) and "adjoints" in vars(rows)
         v = gen.normal(size=spec.param_count)
-        assert ctx.hvp_at(w, mask)(v).tobytes() == reference_hvp(ctx, w, mask, v).tobytes()
+        assert ev.hvp_at(w)(v).tobytes() == reference_hvp(ctx, w, mask, v).tobytes()
 
     def test_operator_holds_no_gradient(self):
         # a point's state needs no gradient vector; grad makes it on first use
         ctx, w = random_net_ctx(8)
-        workspace = ctx.hvp_at(w, ps.dense_mask(ctx.spec)).workspace
-        assert "gradient" not in vars(workspace)
-        result = ctx.grad(w, workspace.mask, workspace)
-        assert result.gradient is workspace.gradient
+        ev = ctx.at(ps.dense_mask(ctx.spec)).hvp_at(w).evaluator
+        assert "gradient" not in vars(ev)
+        result = ev.grad(w)
+        assert result.gradient is ev.gradient
 
 
 class TestHvpOracle:
@@ -347,7 +371,7 @@ class TestHvpOracle:
             ctx, w = random_net_ctx(seed + 50)
             mask = ps.dense_mask(ctx.spec)
             v = ps.random_unit_direction(mask, ps.RngStream(seed, 0xABC))
-            hv = ps.hvp(ctx, w, mask, v)
+            hv = ctx.at(mask).hvp_at(w)(v)
             fd = fd_hvp(ctx, w, mask, v)
             assert max_rel_err(hv, fd) < 1e-4
 
@@ -357,8 +381,9 @@ class TestHvpOracle:
             mask = ps.dense_mask(ctx.spec)
             u = ps.random_unit_direction(mask, ps.RngStream(seed, 1))
             v = ps.random_unit_direction(mask, ps.RngStream(seed, 2))
-            lhs = float(ps.hvp(ctx, w, mask, u) @ v)
-            rhs = float(ps.hvp(ctx, w, mask, v) @ u)
+            hessian = ctx.at(mask).hvp_at(w)
+            lhs = float(hessian(u) @ v)
+            rhs = float(hessian(v) @ u)
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-12)
 
     def test_masked_hygiene_exact_zeros(self):
@@ -367,8 +392,8 @@ class TestHvpOracle:
         mask = gen.random(w.size) < 0.6
         mask[~ps.prunable_coords(ctx.spec)] = True
         v = ps.random_unit_direction(mask, ps.RngStream(4))
-        hv = ps.hvp(ctx, w, mask, v)
-        g = ps.grad(ctx, w, mask).gradient
+        hv = ctx.at(mask).hvp_at(w)(v)
+        g = ctx.at(mask).grad(w).gradient
         assert np.all(hv[~mask] == 0.0)
         assert np.all(g[~mask] == 0.0)
 
@@ -379,9 +404,8 @@ class TestHvpOracle:
         mask = ps.dense_mask(ctx.spec)
         mask[:5] = False
         v = np.ones(w.size)
-        np.testing.assert_array_equal(
-            ps.hvp(ctx, w, mask, v), ps.hvp(ctx, w, mask, v * mask)
-        )
+        hessian = ctx.at(mask).hvp_at(w)
+        np.testing.assert_array_equal(hessian(v), hessian(v * mask))
 
 
 class TestForwardLogits:
@@ -391,16 +415,16 @@ class TestForwardLogits:
         h1 = np.maximum(ctx.features @ W1.T + b1, 0.0)
         h2 = np.maximum(h1 @ W2.T + b2, 0.0)
         expected = h2 @ W3.T + b3
-        mask = ps.dense_mask(ctx.spec)
-        _, pre = autodiff._forward(ctx, autodiff._masked_layers(ctx, w, mask))
+        ev = ctx.at(ps.dense_mask(ctx.spec))
+        _, pre = autodiff._forward(ctx, ev.masked_layers(w), ev.rows(ctx.n))
         np.testing.assert_array_equal(pre[-1], expected)
         hits = np.argmax(expected, axis=1) == ctx.labels
-        assert ps.accuracy_on(ctx, w, mask) == float(np.mean(hits))
+        assert ev.accuracy(w) == float(np.mean(hits))
 
 
 class TestEvaluationsAreCounted:
-    """Rebinding autodiff's passes sees every evaluation made through a
-    context, which the benchmark's per-stage counts rely on."""
+    """Rebinding autodiff's passes sees every evaluation made through an
+    evaluator, which the benchmark's per-stage counts rely on."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -417,10 +441,10 @@ class TestEvaluationsAreCounted:
 
     def test_context_methods(self, counts):
         ctx, w = random_net_ctx(3)
-        mask = ps.dense_mask(ctx.spec)
-        ctx.loss(w, mask)
-        ctx.grad(w, mask)
-        ctx.hvp_at(w, mask)(np.ones(w.size))
+        ev = ctx.at(ps.dense_mask(ctx.spec))
+        ev.loss(w)
+        ev.grad(w)
+        ev.hvp_at(w)(np.ones(w.size))
         assert counts == {"forward_loss": 1, "grad": 1, "hvp": 1}
 
     def test_train_counts_one_gradient_per_step(self, counts):
@@ -467,9 +491,9 @@ class TestEvaluationsAreCounted:
         ctx, w = random_net_ctx(3)
         mask = ps.dense_mask(ctx.spec)
         direction = ps.random_unit_direction(mask, ps.RngStream(5))
-        cutoff = 2.0 * ctx.loss(w, mask)
+        cutoff = 2.0 * ctx.at(mask).loss(w)
         counts["forward_loss"] = 0
-        ps.basin_radius(ctx, w, mask, direction, cutoff)
+        ps.basin_radius(ctx.at(mask), w, direction, cutoff)
         probes = CountingContext(ctx)
-        ps.basin_radius(probes, w, mask, direction, cutoff)
+        ps.basin_radius(probes.at(mask), w, direction, cutoff)
         assert counts["forward_loss"] == 2 * probes.calls > 2

@@ -132,20 +132,19 @@ class TestBasinRadius:
     def test_parabola_crossing(self):
         # loss = w^2: crosses 1.0 at r = 1
         ctx = diag_quadratic([2.0])
-        r = ps.basin_radius(ctx, np.zeros(1), ones(1), np.array([1.0]), 1.0)
+        r = ps.basin_radius(ctx.at(ones(1)), np.zeros(1), np.array([1.0]), 1.0)
         assert abs(r - 1.0) <= 1e-6
 
     def test_shallow_parabola(self):
         # loss = w^2/4: crosses 1.0 at r = 2
         ctx = diag_quadratic([0.5])
-        r = ps.basin_radius(ctx, np.zeros(1), ones(1), np.array([1.0]), 1.0)
+        r = ps.basin_radius(ctx.at(ones(1)), np.zeros(1), np.array([1.0]), 1.0)
         assert abs(r - 2.0) <= 1e-6
 
     def test_flat_loss_censored(self):
         r = ps.basin_radius(
-            FlatContext(0.0),
+            FlatContext(0.0).at(ones(2)),
             np.zeros(2),
-            ones(2),
             np.array([1.0, 0.0]),
             1.0,
         )
@@ -154,26 +153,26 @@ class TestBasinRadius:
     def test_center_outside_rejected(self):
         ctx = diag_quadratic([2.0])
         with pytest.raises(ValueError):
-            ps.basin_radius(ctx, np.array([5.0]), ones(1), np.array([1.0]), 1.0)
+            ps.basin_radius(ctx.at(ones(1)), np.array([5.0]), np.array([1.0]), 1.0)
 
     def test_given_center_loss(self):
         # a passed center loss replaces the center evaluation, gives the same
         # radius, and is still checked against the cutoff
         ctx = CountingContext(diag_quadratic([2.0, 0.5]))
         d = np.array([0.6, 0.8])
-        r = ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0)
+        r = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0)
         evaluated = ctx.calls
         ctx.calls = 0
-        assert ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0, 0.0) == r
+        assert ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0, 0.0) == r
         assert ctx.calls == evaluated - 1
         with pytest.raises(ValueError, match="not below the cutoff"):
-            ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0, 1.0)
+            ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0, 1.0)
 
     def test_cutoff_scaling_sqrt2(self):
         ctx = QuadraticContext(np.diag([1.3, 0.2]))
         d = np.array([0.6, 0.8])
-        r1 = ps.basin_radius(ctx, np.zeros(2), ones(2), d, 0.5)
-        r2 = ps.basin_radius(ctx, np.zeros(2), ones(2), d, 1.0)
+        r1 = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 0.5)
+        r2 = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0)
         assert abs(r2 - math.sqrt(2.0) * r1) <= 1e-6
 
 
@@ -188,7 +187,7 @@ def _exp_cliff(crossing):
 
 def _radius_1d(loss, cutoff=1.0):
     ctx = CountingContext(loss)
-    r = ps.basin_radius(ctx, np.zeros(1), ones(1), np.array([1.0]), cutoff)
+    r = ps.basin_radius(ctx.at(ones(1)), np.zeros(1), np.array([1.0]), cutoff)
     return r, ctx.calls
 
 
@@ -202,7 +201,7 @@ class TestRootFinder:
         for i in range(500):
             phi = ps.random_unit_direction(ones(2), rng.derive(i))
             ctx = CountingContext(diag_quadratic(diag))
-            r = ps.basin_radius(ctx, np.zeros(2), ones(2), phi, 1.0)
+            r = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), phi, 1.0)
             assert abs(r - math.sqrt(2.0 / float(phi @ (diag * phi)))) <= RADIUS_TOL
             assert ctx.calls <= 25
 
@@ -277,7 +276,7 @@ class TestMcRadiusProfile:
         probes = CountingContext(diag_quadratic([1.0, 4.0, 9.0]))
         for i in range(8):
             direction = ps.random_unit_direction(ones(3), rng.derive(i))
-            radius = ps.basin_radius(probes, np.zeros(3), ones(3), direction, 1.0, 0.0)
+            radius = ps.basin_radius(probes.at(ones(3)), np.zeros(3), direction, 1.0, 0.0)
             assert radius == profile.radii[i]
         assert ctx.calls == probes.calls + 1
 
@@ -326,9 +325,9 @@ class TestInterpolation:
         ctx, w = random_net_ctx(33)
         q = w + 0.1
         curve = ps.interpolate_losses(ctx, w, q, n_points=21)
-        full = ones(w.size)
-        assert curve.losses[0] == ctx.loss(w, full)
-        assert curve.losses[-1] == ctx.loss(q, full)
+        full = ctx.at(ones(w.size))
+        assert curve.losses[0] == full.loss(w)
+        assert curve.losses[-1] == full.loss(q)
 
     def test_convex_along_quadratic(self):
         gen = np.random.default_rng(0)

@@ -87,7 +87,7 @@ class TestLossOn:
     def test_uniform_logits(self):
         spec = ps.NetworkSpec((3, 4))
         ctx = _ctx(spec, [[0.2, -1.0, 0.5]], [2])
-        loss = ctx.loss(np.zeros(spec.param_count), ps.dense_mask(spec))
+        loss = ctx.at(ps.dense_mask(spec)).loss(np.zeros(spec.param_count))
         assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_saturated_margin(self):
@@ -95,7 +95,7 @@ class TestLossOn:
         spec = ps.NetworkSpec((1, 2))
         ctx = _ctx(spec, [[1.0]], [0])
         w = np.array([20.0, 0.0, 0.0, 0.0])  # W=[[20],[0]], b=0
-        assert ctx.loss(w, ps.dense_mask(spec)) < 1e-8
+        assert ctx.at(ps.dense_mask(spec)).loss(w) < 1e-8
 
     def test_partition_linearity(self):
         spec = ps.NetworkSpec((2, 3, 2))
@@ -107,9 +107,9 @@ class TestLossOn:
         m = ps.dense_mask(spec)
         parts = [(0, 4), (4, 9)]
         combined = sum(
-            (b - a) * _ctx(spec, X[a:b], y[a:b]).loss(w, m) for a, b in parts
+            (b - a) * _ctx(spec, X[a:b], y[a:b]).at(m).loss(w) for a, b in parts
         ) / 9
-        assert combined == pytest.approx(ctx.loss(w, m), abs=1e-12)
+        assert combined == pytest.approx(ctx.at(m).loss(w), abs=1e-12)
 
     def test_mask_in_weights_or_argument(self):
         spec = ps.NetworkSpec((2, 4, 2))
@@ -118,7 +118,7 @@ class TestLossOn:
         w = ps.init_params(spec, ps.RngStream(1))
         m = gen.random(spec.param_count) < 0.6
         m[~ps.prunable_coords(spec)] = True
-        assert ctx.loss(w, m) == ctx.loss(ps.apply_mask(w, m), ps.dense_mask(spec))
+        assert ctx.at(m).loss(w) == ctx.at(ps.dense_mask(spec)).loss(ps.apply_mask(w, m))
 
     def test_nonnegative(self):
         spec = ps.NetworkSpec((2, 3, 2))
@@ -126,7 +126,7 @@ class TestLossOn:
         ctx = _ctx(spec, gen.normal(size=(6, 2)), gen.integers(0, 2, size=6))
         for seed in range(10):
             w = ps.init_params(spec, ps.RngStream(seed))
-            assert ctx.loss(w, ps.dense_mask(spec)) >= 0.0
+            assert ctx.at(ps.dense_mask(spec)).loss(w) >= 0.0
 
 
 class TestAccuracyOn:
@@ -134,7 +134,7 @@ class TestAccuracyOn:
         # all-zero params: every tie resolves to class 0 -> 0.5 on balanced labels
         spec = ps.NetworkSpec((2, 2))
         ctx = _ctx(spec, [[0.0, 1.0], [1.0, 0.0]], [0, 1])
-        acc = ps.accuracy_on(ctx, np.zeros(spec.param_count), ps.dense_mask(spec))
+        acc = ctx.at(ps.dense_mask(spec)).accuracy(np.zeros(spec.param_count))
         assert acc == 0.5
 
     def test_memorizing_net(self):
@@ -142,7 +142,7 @@ class TestAccuracyOn:
         ctx = _ctx(spec, [[1.0, 0.0], [0.0, 1.0]], [0, 1])
         # W = identity scaled: picks the matching class
         w = np.array([5.0, 0.0, 0.0, 5.0, 0.0, 0.0])
-        assert ps.accuracy_on(ctx, w, ps.dense_mask(spec)) == 1.0
+        assert ctx.at(ps.dense_mask(spec)).accuracy(w) == 1.0
 
     def test_invariant_under_final_layer_scaling(self):
         spec = ps.NetworkSpec((2, 4, 3))
@@ -153,8 +153,8 @@ class TestAccuracyOn:
         w_sl, b_sl, _ = layer_slices(spec)[-1]
         scaled[w_sl] *= 7.0
         scaled[b_sl] *= 7.0
-        m = ps.dense_mask(spec)
-        assert ps.accuracy_on(ctx, w, m) == ps.accuracy_on(ctx, scaled, m)
+        ev = ctx.at(ps.dense_mask(spec))
+        assert ev.accuracy(w) == ev.accuracy(scaled)
 
 
 class TestLossContextValidation:
@@ -178,6 +178,5 @@ class TestLossContextValidation:
         assert rows.spec == spec and rows.n == 4
         np.testing.assert_array_equal(rows.features, full.features)
         np.testing.assert_array_equal(rows.labels, full.labels)
-        np.testing.assert_array_equal(rows.label_index, full.label_index)
         w = ps.init_params(spec, ps.RngStream(2))
-        assert rows.loss(w, ps.dense_mask(spec)) == full.loss(w, ps.dense_mask(spec))
+        assert rows.at(ps.dense_mask(spec)).loss(w) == full.at(ps.dense_mask(spec)).loss(w)

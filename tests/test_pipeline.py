@@ -237,8 +237,8 @@ class TestStagesReadTheDisk:
         assert {"init", "rewind", "level00", "level02", "rpn2"} <= set(names)
         for name in names:
             cp = load_checkpoint(out / f"checkpoints/{name}.ckpt")
-            assert cp.train_loss == train_ctx.loss(cp.params, cp.mask), name
-            assert cp.test_accuracy == ps.accuracy_on(test_ctx, cp.params, cp.mask), name
+            assert cp.train_loss == train_ctx.at(cp.mask).loss(cp.params), name
+            assert cp.test_accuracy == test_ctx.at(cp.mask).accuracy(cp.params), name
             if name not in ("init", "rewind"):
                 last = read_csv_dicts(out / f"metrics/train_{name}.csv")[-1]
                 assert cp.test_accuracy == float(last["test_acc"]), name
@@ -410,7 +410,7 @@ class TestPerLayerRanking:
         for name in ("fine_tune", "random_reinit"):
             np.testing.assert_array_equal(state.checkpoint(name).mask, last.mask)
         # the magnitude prune-impact row prunes level 1 by IMP's round
-        expected = state.analysis_ctx.loss(ps.apply_mask(prev.params, last.mask), last.mask)
+        expected = state.analysis_ctx.at(last.mask).loss(ps.apply_mask(prev.params, last.mask))
         rows = read_csv_dicts(out / "analysis/prune_impact.csv")
         magnitude = next(r for r in rows if r["strategy"] == "magnitude")
         assert float(magnitude["loss_after"]) == expected
@@ -595,11 +595,27 @@ class TestCli:
             ("training", {"lr0": float("inf")}),
             ("master_seed", -5),
             ("master_seed", 2**64),
+            ("dataset", {"kind": "csv", "train_path": 5, "test_path": 6}),
+            ("dataset", {"kind": "idx", "train_images": "a", "train_labels": "b",
+                         "test_images": "c", "test_labels": ""}),
+            ("imp", {"levels": 2.5}),
+            ("training", {"epochs": 6.5}),
+            ("training", {"batch_size": 2.5}),
+            ("training", {"rewind_step": 1.5}),
+            ("imp", {"ft_epochs": 1.5}),
+            ("training", {"lr0": True}),
+            ("imp", {"per_layer": "yes"}),
+            ("training", {"weight_decay": float("nan")}),
+            ("training", {"decay_factor": -1}),
+            ("training", {"decay_epochs": [1.5]}),
         ],
     )
     def test_bad_value_exits_before_any_stage(self, tmp_path, capsys, key, value):
         data = config_to_dict(criterion2_config())
-        data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        # a dict merges into its section, except one naming a dataset kind,
+        # which replaces the dataset
+        merge = isinstance(value, dict) and "kind" not in value
+        data[key] = {**data[key], **value} if merge else value
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(data))
         out = tmp_path / "out"

@@ -55,8 +55,13 @@ def test_profiles_every_stage_and_counts_by_rows(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
 
     assert [s["stage"] for s in report["stages"]] == list(STAGES)
+    peak = 0.0
     for s in report["stages"]:
         assert s["wall_s"] >= 0 and s["cpu_s"] >= 0 and s["maxrss_mb"] > 0
+        # a stage's rise is its end peak over its start peak, which is at
+        # least the peak at the end of the stage before
+        assert 0 <= s["maxrss_rise_mb"] <= s["maxrss_mb"] - peak
+        peak = s["maxrss_mb"]
     counts = {(e["stage"], e["rows"]): e for e in report["evaluations"]}
     n_train = cfg.dataset.train_per_class * cfg.dataset.classes
     # per level: the checkpoint's loss and the trajectory's 2 * epochs - 1

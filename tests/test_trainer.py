@@ -90,7 +90,7 @@ class TestSgdSteps:
             weight_decay=0.01, decay_epochs=(), rewind_step=0,
         )
         final, _, _ = train(ctx, test_ctx, w0, mask, hp)
-        g = ps.grad(ctx, w0, mask).gradient
+        g = ctx.at(mask).grad(w0).gradient
         expected = (w0 - 0.3 * (g + 0.01 * w0)) * mask
         # the full batch is still a permutation, so the mean's summation
         # order differs from ctx order by an ulp
@@ -189,7 +189,7 @@ def reference_train(ctx, test, start, mask, hp, schedule_offset):
         loss_sum = 0.0
         for idx in epoch_batches(ctx.n, hp.batch_size, epoch, shuffle):
             batch = ps.LossContext(ctx.spec, ctx.features[idx], ctx.labels[idx])
-            result = ps.grad(batch, w, mask)
+            result = batch.at(mask).grad(w)
             update = result.gradient + hp.weight_decay * w
             velocity = hp.momentum * velocity + update
             w = w - lr_at(hp, schedule_offset + step, spe) * velocity
@@ -199,7 +199,7 @@ def reference_train(ctx, test, start, mask, hp, schedule_offset):
             if step == hp.rewind_step:
                 rewind = w.copy()
         losses.append(loss_sum / ctx.n)
-        accs.append(ps.accuracy_on(test, w, mask))
+        accs.append(test.at(mask).accuracy(w))
         snapshots.append(w.copy())
     return w, rewind, losses, accs, snapshots
 
