@@ -55,8 +55,8 @@ def spiral_arm(
     t: np.ndarray,
     class_index: int,
     classes: int,
-    angle_noise: np.ndarray | float = 0.0,
-    radius_noise: np.ndarray | float = 0.0,
+    angle_noise: np.ndarray | float,
+    radius_noise: np.ndarray | float,
 ) -> np.ndarray:
     """Arm coordinates at parameters t in (0, 1].
 

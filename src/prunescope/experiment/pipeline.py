@@ -32,15 +32,18 @@ stores each solution with its train loss and test accuracy.
 
 An analysis point is one checkpoint's weights on one checkpoint's mask: the
 solution itself when both are the same checkpoint, otherwise a projection.
-``_points(levels)`` declares every point the analyses compare, name ->
-(source, on), in eigen order: the levels, each level's predecessor on its
-mask (``pr_``), each level on its predecessor's mask (the reverse
-projection, ``rpr_``), then the variants. :meth:`PipelineState.point` is the
-one place a checkpoint's weights go onto another checkpoint's mask, and
-``_refs(source, on)`` is a point's checkpoint references cell. The metrics
-stage reports the checkpoints among the points, and its prune impact the
-final level's ``pr_`` point; distances measures every ``pr_`` point, and
-radius declares its four profiles as name -> (source, on).
+``_rows(levels)`` declares every analysis row once, each table in its
+artifact's row order: the points, name -> (source, on), in eigen order (the
+levels, each level's predecessor on its mask (``pr_``), each level on its
+predecessor's mask (the reverse projection, ``rpr_``), then the variants);
+the ``pr_`` points that distances measures, the last of which the prune
+impact reads; the four radius profiles, name -> point; the interp and
+geometry pairs; the surface's points, its three anchors first; and the taylor
+bases. The stages read them as ``PipelineState.rows`` and the trend criteria
+through ``_rows``; neither names a level, profile, interp or anchor of its
+own. :meth:`PipelineState.point` is the one place a checkpoint's weights go
+onto another checkpoint's mask, and ``_refs(source, on)`` is a point's
+checkpoint references cell.
 
 Artifact layout:
 
@@ -113,16 +116,52 @@ def _refs(*names: str) -> str:
     return ";".join(f"checkpoints/{name}.ckpt" for name in dict.fromkeys(names))
 
 
-def _points(levels: int) -> dict[str, tuple[str, str]]:
-    """Every analysis point, name -> (source, on), in eigen order."""
-    names = [level_name(level) for level in range(levels + 1)]
-    points = {name: (name, name) for name in names}
+@dataclass(frozen=True)
+class Rows:
+    """Every analysis row, each table in its artifact's row order. ``radius``
+    and ``projected`` name points, keys of ``points``; every other name is a
+    checkpoint's."""
+
+    levels: tuple[str, ...]  # the IMP levels, level 0 first
+    points: dict[str, tuple[str, str]]  # eigen: name -> (source, on); metrics: source == on
+    projected: tuple[str, ...]  # distances: level L-1 on level L's mask; prune impact: the last
+    radius: dict[str, str]  # profile -> point
+    interp: dict[str, tuple[str, str]]  # name -> (endpoint a, endpoint b)
+    geometry: tuple[tuple[str, str], ...]  # (point_a, point_b)
+    surface: tuple[str, ...]  # the plane's three anchors first
+    taylor: tuple[str, ...]  # bases
+
+
+def _rows(levels: int) -> Rows:
+    """The analysis rows of a run with ``levels`` IMP levels."""
+    names = tuple(level_name(level) for level in range(levels + 1))
     steps = range(1, levels + 1)
-    points.update({projection_name(L - 1, L): (names[L - 1], names[L]) for L in steps})
+    variants = VARIANTS if levels > 0 else ()
+    projected = tuple(projection_name(L - 1, L) for L in steps)
+    points = {name: (name, name) for name in names}
+    points.update({name: (names[L - 1], names[L]) for L, name in zip(steps, projected)})
     points.update({projection_name(L, L - 1): (names[L], names[L - 1]) for L in steps})
+    points.update({name: (name, name) for name in variants})
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    pairs += [(v, ref) for v in variants for ref in (names[0], *names[-2:])]
+    radius, interp, surface = {}, {}, ()
     if levels > 0:
-        points.update({name: (name, name) for name in VARIANTS})
-    return points
+        final, prev = names[-1], names[-2]
+        radius = {
+            "final_min": final,
+            "final_projected_prev": projected[-1],
+            "prev_min": prev,
+            "prev_reverse_final": projection_name(levels, levels - 1),
+        }
+        # successive levels, then each variant against the level it was pruned from
+        interp = {f"interp_{a}_{b}": (a, b) for a, b in zip(names, names[1:])}
+        sources = {v.name: names[v.source_level(levels)] for v in VARIANT_TABLE}
+        for name in ("random_reinit", "one_shot", "rpn2", "rpn1"):
+            interp[f"interp_{name}"] = (sources[name], name)
+        anchors = (names[0], final, "random_reinit")
+        surface = anchors + names[1:-1] + tuple(v for v in variants if v not in anchors)
+    taylor = tuple(names[level] for level in (0, 3) if level <= levels)
+    return Rows(names, points, projected, radius, interp, tuple(pairs), surface, taylor)
 
 
 class PipelineState:
@@ -130,7 +169,7 @@ class PipelineState:
     and records the artifacts the running stage writes.
 
     The train and test sets are loss contexts, loaded from the data stage's
-    files and built once, on first use.
+    files and built once, on first use; ``rows`` is the run's analysis rows.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: Path):
@@ -166,6 +205,10 @@ class PipelineState:
     def test_ctx(self) -> LossContext:
         ds = load_csv(self._require_file("data/test.csv"))
         return LossContext(self.spec, ds.features, ds.labels)
+
+    @functools.cached_property
+    def rows(self) -> Rows:
+        return _rows(self.cfg.imp.levels)
 
     @functools.cached_property
     def analysis_ctx(self) -> LossContext:
@@ -335,8 +378,7 @@ def _variant_stage(*names: str) -> Callable[[PipelineState], None]:
 
 def stage_metrics(state: PipelineState) -> None:
     actx = state.analysis_ctx
-    levels = state.cfg.imp.levels
-    solutions = [name for name, (source, on) in _points(levels).items() if source == on]
+    solutions = [name for name, (source, on) in state.rows.points.items() if source == on]
     rows = []
     for name in solutions:
         cp = state.checkpoint(name)
@@ -356,13 +398,13 @@ def stage_metrics(state: PipelineState) -> None:
         ["name", "level", "sparsity", "train_loss", "analysis_loss", "test_accuracy", "checkpoint"],
         rows,
     )
-    if levels > 0:
+    if state.rows.projected:
         # immediate post-prune loss increase, before any retraining; IMP's
         # magnitude round from level L-1 is level L's mask
-        prev_name = level_name(levels - 1)
+        prev_name, final = state.rows.points[state.rows.projected[-1]]
         prev = state.checkpoint(prev_name)
         rand = impact_random_mask(state.cfg.imp_config(), prev.mask, prunable_coords(state.spec))
-        params, mask = state.point(prev_name, level_name(levels))
+        params, mask = state.point(prev_name, final)
         before = actx.at(prev.mask).loss(prev.params)
         after = {
             "magnitude": actx.at(mask).loss(params),
@@ -378,8 +420,8 @@ def stage_metrics(state: PipelineState) -> None:
 def stage_distances(state: PipelineState) -> None:
     w_rewind = state.checkpoint("rewind").params
     rows = []
-    for level in range(1, state.cfg.imp.levels + 1):
-        source, on = level_name(level - 1), level_name(level)
+    for level, name in enumerate(state.rows.projected, 1):
+        source, on = state.rows.points[name]
         pr_prev, mask = state.point(source, on)
         pr_rewind = apply_mask(w_rewind, mask)
         rows.append(
@@ -404,7 +446,7 @@ def stage_eigen(state: PipelineState) -> None:
     value_rows = []
     summary_rows = []
     meta = {"k": k, "reports": {}}
-    for index, (name, pair) in enumerate(_points(state.cfg.imp.levels).items()):
+    for index, (name, pair) in enumerate(state.rows.points.items()):
         params, mask = state.point(*pair)
         report = landscape.top_k_eigenvalues(actx, params, mask, k, base.derive(index))
         for rank, value in enumerate(report.eigenvalues):
@@ -413,7 +455,7 @@ def stage_eigen(state: PipelineState) -> None:
             [
                 name,
                 int(report.eigenvalues.size),
-                landscape.inverse_volume(report, min(k, report.eigenvalues.size)),
+                landscape.inverse_volume(report, k),
                 int(mask.sum()),
                 _refs(*pair),
             ]
@@ -436,24 +478,17 @@ def stage_eigen(state: PipelineState) -> None:
 
 
 def stage_radius(state: PipelineState) -> None:
-    levels = state.cfg.imp.levels
     actx = state.analysis_ctx
     n_dir = state.cfg.analysis.n_directions
     base = RngStream(state.cfg.master_seed, RADIUS_STREAM)
-    final, prev = level_name(levels), level_name(levels - 1)
-    profiles = {  # name -> (source, on)
-        "final_min": (final, final),
-        "final_projected_prev": (prev, final),
-        "prev_min": (prev, prev),
-        "prev_reverse_final": (final, prev),
-    }
+    profiles = {name: state.rows.points[point] for name, point in state.rows.radius.items()}
     points = {name: state.point(*pair) for name, pair in profiles.items()}
     losses = {name: actx.at(mask).loss(params) for name, (params, mask) in points.items()}
     # a mask's cutoff bounds both its own minimum and the projection onto it
-    cutoffs = {
-        final: landscape.basin_cutoff(losses["final_min"], losses["final_projected_prev"]),
-        prev: landscape.basin_cutoff(losses["prev_min"], losses["prev_reverse_final"]),
-    }
+    on_mask: dict[str, list[float]] = {}
+    for name, (_, on) in profiles.items():
+        on_mask.setdefault(on, []).append(losses[name])
+    cutoffs = {on: landscape.basin_cutoff(*pair) for on, pair in on_mask.items()}
     summary_rows = []
     meta = {"n_directions": n_dir, "profiles": {}}
     for index, (name, (source, on)) in enumerate(profiles.items()):
@@ -491,25 +526,14 @@ def stage_radius(state: PipelineState) -> None:
     write_json(state.artifact("analysis/radius_meta.json"), meta)
 
 
-def _interp_pairs(levels: int) -> dict[str, tuple[str, str]]:
-    """Each interpolation, name -> (endpoint a, endpoint b): successive
-    levels, then each variant against the level it was pruned from."""
-    names = [level_name(level) for level in range(levels + 1)]
-    pairs = {f"interp_{a}_{b}": (a, b) for a, b in zip(names, names[1:])}
-    sources = {v.name: level_name(v.source_level(levels)) for v in VARIANT_TABLE}
-    for name in ("random_reinit", "one_shot", "rpn2", "rpn1"):
-        pairs[f"interp_{name}"] = (sources[name], name)
-    return pairs
-
-
 def stage_interp(state: PipelineState) -> None:
     actx = state.analysis_ctx
     n_points = state.cfg.analysis.interp_points
     summary_rows = []
-    for name, (a, b) in _interp_pairs(state.cfg.imp.levels).items():
-        cp_a = state.checkpoint(a)
-        cp_b = state.checkpoint(b)
-        curve = landscape.interpolate_losses(actx, cp_a.params, cp_b.params, n_points=n_points)
+    for name, (a, b) in state.rows.interp.items():
+        curve = landscape.interpolate_losses(
+            actx, state.checkpoint(a).params, state.checkpoint(b).params, n_points
+        )
         write_csv(
             state.artifact(f"analysis/{name}.csv"),
             ["alpha", "loss"],
@@ -536,25 +560,10 @@ def stage_interp(state: PipelineState) -> None:
 
 
 def stage_surface(state: PipelineState) -> None:
-    levels = state.cfg.imp.levels
-    actx = state.analysis_ctx
     a = state.cfg.analysis
-    anchor_names = (level_name(0), level_name(levels), "random_reinit")
-    extra_names = [level_name(level) for level in range(1, levels)] + [
-        name for name in VARIANTS if name not in anchor_names
-    ]
-    anchors = tuple(state.checkpoint(n).params for n in anchor_names)
-    extras = [state.checkpoint(n).params for n in extra_names]
+    points = {name: state.checkpoint(name).params for name in state.rows.surface}
     grid = landscape.surface_grid(
-        actx,
-        anchors,
-        extras,
-        rows=a.grid_rows,
-        cols=a.grid_cols,
-        margin=a.grid_margin,
-        loss_cap=a.loss_cap,
-        anchor_names=anchor_names,
-        extra_names=extra_names,
+        state.analysis_ctx, points, a.grid_rows, a.grid_cols, a.grid_margin, a.loss_cap
     )
     cell_rows = []
     for i in range(grid.rows):
@@ -585,17 +594,9 @@ def stage_surface(state: PipelineState) -> None:
 
 
 def stage_geometry(state: PipelineState) -> None:
-    levels = state.cfg.imp.levels
-    names = [level_name(level) for level in range(levels + 1)]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    if levels > 0:
-        refs = [level_name(0), level_name(levels - 1), level_name(levels)]
-        pairs += [(v, r) for v in VARIANTS for r in refs]
     rows = []
-    for a, b in pairs:
-        cp_a = state.checkpoint(a)
-        cp_b = state.checkpoint(b)
-        euclid, cosine = landscape.geometry(cp_a.params, cp_b.params)
+    for a, b in state.rows.geometry:
+        euclid, cosine = landscape.geometry(state.checkpoint(a).params, state.checkpoint(b).params)
         rows.append([a, b, euclid, cosine, _refs(a, b)])
     write_csv(
         state.artifact("analysis/geometry.csv"),
@@ -608,11 +609,8 @@ def stage_taylor(state: PipelineState) -> None:
     actx = state.analysis_ctx
     prunable = prunable_coords(state.spec)
     stream = RngStream(state.cfg.master_seed, TAYLOR_STREAM)
-    bases = [level_name(0)]
-    if state.cfg.imp.levels >= 3:
-        bases.append(level_name(3))
     rows = []
-    for b_idx, base_name in enumerate(bases):
+    for b_idx, base_name in enumerate(state.rows.taylor):
         cp = state.checkpoint(base_name)
         active = int((cp.mask & prunable).sum())
         count = max(1, int(0.01 * active))

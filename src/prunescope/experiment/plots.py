@@ -53,20 +53,19 @@ class _Chart:
         lo, hi = self.y_range
         return HEIGHT - MARGIN_B - (y - lo) / (hi - lo) * (HEIGHT - MARGIN_T - MARGIN_B)
 
-    def polyline(self, xs, ys, color: str, label: str | None = None):
+    def polyline(self, xs, ys, color: str, label: str):
         points = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
         self.body.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
-        if label:
-            index = len([b for b in self.body if b.startswith("<text class=\"legend\"")])
-            y = MARGIN_T + 14 * (index + 1)
-            self.body.append(
-                f'<text class="legend" x="{WIDTH - MARGIN_R - 150}" y="{y}" '
-                f'font-size="11" fill="{color}">{_escape(label)}</text>'
-            )
+        index = len([b for b in self.body if b.startswith("<text class=\"legend\"")])
+        y = MARGIN_T + 14 * (index + 1)
+        self.body.append(
+            f'<text class="legend" x="{WIDTH - MARGIN_R - 150}" y="{y}" '
+            f'font-size="11" fill="{color}">{_escape(label)}</text>'
+        )
 
-    def circles(self, xs, ys, color: str, radius: float = 3.0, labels=None):
+    def circles(self, xs, ys, color: str, radius: float, labels=None):
         for i, (x, y) in enumerate(zip(xs, ys)):
             self.body.append(
                 f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" '

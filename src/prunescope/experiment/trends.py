@@ -1,7 +1,8 @@
 """Trend criteria 4a–4g: the paper's claims about IMP solutions, checked over
 finished default runs that differ only in master seed. The acceptance suite
 asserts them on three seeds and ``scripts/trend_report.py`` writes them as
-JSON; no pipeline stage imports this module.
+JSON; no pipeline stage imports this module. The rows they read are named by
+the pipeline's analysis tables, ``pipeline._rows``.
 """
 from __future__ import annotations
 
@@ -11,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
-from ..pruning import VARIANT_TABLE, level_name, projection_name
 from .config import load_config
-from .pipeline import _interp_pairs
+from .pipeline import VARIANTS, _rows
 from .tables import read_csv_dicts
 
 
@@ -52,18 +52,18 @@ def trend_criteria(run_dirs) -> tuple[dict[str, dict], dict[str, float]]:
     accs = [_column(out, "level_summary.csv", "name", "test_accuracy") for out in runs]
 
     per_seed_needed = math.ceil(2 * len(runs) / 3)
-    names = [level_name(level) for level in range(levels + 1)]
-    final = names[-1]
-    variants = tuple(v.name for v in VARIANT_TABLE)
+    table = _rows(levels)
+    final, projected = table.levels[-1], table.projected[-1]
     # seed-mean V'(projected previous solution) - V'(level minimum), per level
     vprime_margin = [
-        np.mean([e[projection_name(L - 1, L)] for e in eigs]) - np.mean([e[names[L]] for e in eigs])
-        for L in range(1, levels + 1)
+        np.mean([e[name] for e in eigs]) - np.mean([e[table.points[name][1]] for e in eigs])
+        for name in table.projected
     ]
-    # the interpolations between successive levels, in level order
-    successive = [name for name, (_, end) in _interp_pairs(levels).items() if end in names]
-    succ = np.mean([[b[name] for name in successive] for b in barriers], axis=0)
-    mean_acc = {name: np.mean([a[name] for a in accs]) for name in (final,) + variants}
+    # the radius profile at each point, and the interpolation ending at each solution
+    profile = {point: name for name, point in table.radius.items()}
+    interp = {end: name for name, (_, end) in table.interp.items()}
+    succ = np.mean([[b[interp[name]] for name in table.levels[1:]] for b in barriers], axis=0)
+    mean_acc = {name: np.mean([a[name] for a in accs]) for name in (final,) + VARIANTS}
 
     criteria = {
         "4a": _criterion(
@@ -73,7 +73,7 @@ def trend_criteria(run_dirs) -> tuple[dict[str, dict], dict[str, float]]:
         "4b": _criterion(
             "mean basin radius larger at the final minimum than at the projected "
             "previous solution (values: margin per seed)",
-            [r["final_min"] - r["final_projected_prev"] for r in radii], 0.0, per_seed_needed),
+            [r[profile[final]] - r[profile[projected]] for r in radii], 0.0, per_seed_needed),
         "4c": _criterion(
             "seed-mean successive-level barrier above the threshold (values: "
             "barrier per level pair)",
@@ -81,7 +81,7 @@ def trend_criteria(run_dirs) -> tuple[dict[str, dict], dict[str, float]]:
         "4d": _criterion(
             "seed-mean random-reinit barrier at least the threshold, twice the "
             "successive-level mean (values: reinit barrier)",
-            [np.mean([b["interp_random_reinit"] for b in barriers])], 2.0 * succ.mean(), 1,
+            [np.mean([b[interp["random_reinit"]] for b in barriers])], 2.0 * succ.mean(), 1,
             at_least=True),
         "4e_impact": _criterion(
             "post-prune loss increase smaller for magnitude than for random "
@@ -89,8 +89,8 @@ def trend_criteria(run_dirs) -> tuple[dict[str, dict], dict[str, float]]:
             [i["random"] - i["magnitude"] for i in impacts], 0.0, len(runs)),
         "4e_accuracy": _criterion(
             f"seed-mean test accuracy of {final} at least each variant's "
-            f"(values: margin against {', '.join(variants)})",
-            [mean_acc[final] - mean_acc[v] for v in variants], 0.0, len(variants),
+            f"(values: margin against {', '.join(VARIANTS)})",
+            [mean_acc[final] - mean_acc[v] for v in VARIANTS], 0.0, len(VARIANTS),
             at_least=True),
     }
     for key, variant in (("4f", "fine_tune"), ("4g", "one_shot")):

@@ -32,7 +32,9 @@ The probes:
   default nets, plus one center loss per profile.
 * ``interpolate_losses`` / ``barrier_height`` — loss along the straight
   segment between two solutions.
-* ``surface_grid`` — 2-D projection of the loss around three anchor points.
+* ``surface_grid`` — 2-D projection of the loss around three anchor points:
+  one ordered name -> vector map, anchors first, gives the plane and the
+  named points on it.
 * ``geometry`` — Euclidean distance and cosine similarity.
 * ``taylor_prune_estimate`` — second-order prediction of the loss change a
   pruning step causes, against the measured change.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,8 +175,7 @@ def basin_cutoff(loss_a: float, loss_b: float) -> float:
 
 
 def basin_radius(
-    at, center: np.ndarray, direction: np.ndarray, cutoff: float,
-    center_loss: float | None = None,
+    at, center: np.ndarray, direction: np.ndarray, cutoff: float, center_loss: float
 ) -> float:
     """Distance along a unit direction at which the loss reaches the cutoff,
     on the doubling grid of probes.
@@ -205,18 +206,15 @@ def basin_radius(
     most ``2 * RADIUS_TOL`` wide and returns its midpoint, which lies within
     ``RADIUS_TOL`` of the crossing.
 
-    ``at`` is the evaluator at the profile's mask, ``ctx.at(mask)``.
-    ``center_loss`` is ``at.loss(center)`` if the caller has it, as
-    :func:`mc_radius_profile` does; otherwise it is evaluated here. Either
-    way a center loss not below the cutoff raises.
+    ``at`` is the evaluator at the profile's mask, ``ctx.at(mask)``, and
+    ``center_loss`` is ``at.loss(center)``, which :func:`mc_radius_profile`
+    evaluates once per profile. A center loss not below the cutoff raises.
     """
     direction = np.asarray(direction, dtype=np.float64)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-8:
         raise ValueError("direction must have unit norm")
     if np.any(direction[~at.mask] != 0.0):
         raise ValueError("direction must be zero on masked coordinates")
-    if center_loss is None:
-        center_loss = at.loss(center)
     if center_loss >= cutoff:
         raise ValueError(
             f"center loss {center_loss} is not below the cutoff {cutoff}"
@@ -337,9 +335,7 @@ class InterpolationCurve:
     losses: np.ndarray
 
 
-def interpolate_losses(
-    ctx, p: np.ndarray, q: np.ndarray, n_points: int = 501
-) -> InterpolationCurve:
+def interpolate_losses(ctx, p: np.ndarray, q: np.ndarray, n_points: int) -> InterpolationCurve:
     """Losses at ``n_points`` evenly spaced interpolates of p and q.
 
     Interpolation and evaluation happen in the full space: each endpoint
@@ -399,45 +395,39 @@ class SurfaceGrid:
     origin: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    points: list[SurfacePoint] = field(default_factory=list)
+    points: list[SurfacePoint]  # in the order of surface_grid's points
 
 
 def surface_grid(
-    ctx,
-    anchors: tuple[np.ndarray, np.ndarray, np.ndarray],
-    extra_points: list[np.ndarray],
-    rows: int,
-    cols: int,
-    margin: float = 0.3,
-    loss_cap: float = 10.0,
-    anchor_names: tuple[str, str, str] = ("anchor0", "anchor1", "anchor2"),
-    extra_names: list[str] | None = None,
+    ctx, points: dict[str, np.ndarray], rows: int, cols: int, margin: float, loss_cap: float
 ) -> SurfaceGrid:
-    """Project points of interest onto the anchors' plane and scan the loss.
+    """Project named points onto the plane through the first three and scan
+    the loss.
 
-    The grid spans the bounding box of all projected coordinates, expanded by
-    ``margin`` (a fraction of each side) in every direction.
+    ``points`` maps each name to its parameter vector, in order; its first
+    three entries are the anchors, and the first anchor is the origin. Each
+    point's name, plane coordinates, loss and distance from the plane make
+    one :class:`SurfacePoint`, in the same order. The grid spans the bounding
+    box of all projected coordinates, expanded by ``margin`` (a fraction of
+    each side) in every direction; cells above ``loss_cap`` are flagged.
     """
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 cols")
-    origin = np.asarray(anchors[0], dtype=np.float64)
-    u, v = plane_basis(origin, anchors[1], anchors[2])
+    vectors = {name: np.asarray(vec, dtype=np.float64) for name, vec in points.items()}
+    if len(vectors) < 3:
+        raise ValueError("need the three anchors")
+    origin, first, second = list(vectors.values())[:3]
+    u, v = plane_basis(origin, first, second)
     at = ctx.at(np.ones(origin.size, dtype=bool))
 
-    names = list(anchor_names) + (
-        extra_names
-        if extra_names is not None
-        else [f"point{i}" for i in range(len(extra_points))]
-    )
-    vectors = list(anchors) + [np.asarray(p, dtype=np.float64) for p in extra_points]
-    points = []
-    for name, vec in zip(names, vectors):
+    placed = []
+    for name, vec in vectors.items():
         x, y = project_to_plane(vec, origin, u, v)
         residual = float(np.linalg.norm(vec - (origin + x * u + y * v)))
-        points.append(SurfacePoint(name, x, y, at.loss(vec), residual))
+        placed.append(SurfacePoint(name, x, y, at.loss(vec), residual))
 
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
+    px = np.array([p.x for p in placed])
+    py = np.array([p.y for p in placed])
     dx = margin * (px.max() - px.min())
     dy = margin * (py.max() - py.min())
     xs = np.linspace(px.min() - dx, px.max() + dx, cols)
@@ -450,7 +440,7 @@ def surface_grid(
     flat = np.array(parallel_map(cell, range(rows * cols)))
     losses = flat.reshape(rows, cols)
     clipped = (losses > loss_cap) | ~np.isfinite(losses)
-    return SurfaceGrid(rows, cols, xs, ys, losses, clipped, origin, u, v, points)
+    return SurfaceGrid(rows, cols, xs, ys, losses, clipped, origin, u, v, placed)
 
 
 def geometry(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
@@ -476,17 +466,17 @@ def hutchinson_diagonal(
     ctx, w: np.ndarray, m: np.ndarray, probes: int, rng: RngStream
 ) -> np.ndarray:
     """Stochastic Hessian-diagonal estimate: mean of z * (H z) over Rademacher
-    probes restricted to active coordinates."""
+    probes restricted to active coordinates. The samples are added in probe
+    order into one vector that starts from zeros, which gives
+    ``np.mean(samples, axis=0)`` bit for bit without holding the samples."""
     m = np.asarray(m, dtype=bool)
     hessian = ctx.at(m).hvp_at(w)
-
-    def one(j: int) -> np.ndarray:
+    total = np.zeros(m.size)
+    for j in range(probes):
         gen = rng.derive(j).generator()
         z = (gen.integers(0, 2, size=m.size) * 2.0 - 1.0) * m
-        return z * hessian(z)
-
-    samples = parallel_map(one, range(probes))
-    return np.mean(samples, axis=0)
+        total += z * hessian(z)
+    return total / probes
 
 
 def exact_diagonal(ctx, w: np.ndarray, m: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -99,7 +99,8 @@ class TestCriterion1Oracles:
         ]
         worst = 0.0
         for ctx, cutoff, expected in cases:
-            r = ps.basin_radius(ctx.at(np.ones(1, bool)), np.zeros(1), np.array([1.0]), cutoff)
+            at = ctx.at(np.ones(1, bool))
+            r = ps.basin_radius(at, np.zeros(1), np.array([1.0]), cutoff, at.loss(np.zeros(1)))
             worst = max(worst, abs(r - expected))
         report("1d", worst <= 1e-6, f"(max abs err {worst:.2e})")
 

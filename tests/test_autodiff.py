@@ -493,7 +493,7 @@ class TestEvaluationsAreCounted:
         direction = ps.random_unit_direction(mask, ps.RngStream(5))
         cutoff = 2.0 * ctx.at(mask).loss(w)
         counts["forward_loss"] = 0
-        ps.basin_radius(ctx.at(mask), w, direction, cutoff)
-        probes = CountingContext(ctx)
-        ps.basin_radius(probes.at(mask), w, direction, cutoff)
+        for probed in (ctx, probes := CountingContext(ctx)):
+            at = probed.at(mask)
+            ps.basin_radius(at, w, direction, cutoff, at.loss(w))
         assert counts["forward_loss"] == 2 * probes.calls > 2

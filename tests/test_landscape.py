@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from prunescope.landscape import (
     EigenReport,
     barrier_height,
     exact_diagonal,
+    hutchinson_diagonal,
 )
 
 
@@ -131,14 +133,14 @@ class TestBasinCutoff:
 class TestBasinRadius:
     def test_parabola_crossing(self):
         # loss = w^2: crosses 1.0 at r = 1
-        ctx = diag_quadratic([2.0])
-        r = ps.basin_radius(ctx.at(ones(1)), np.zeros(1), np.array([1.0]), 1.0)
+        at = diag_quadratic([2.0]).at(ones(1))
+        r = ps.basin_radius(at, np.zeros(1), np.array([1.0]), 1.0, at.loss(np.zeros(1)))
         assert abs(r - 1.0) <= 1e-6
 
     def test_shallow_parabola(self):
         # loss = w^2/4: crosses 1.0 at r = 2
-        ctx = diag_quadratic([0.5])
-        r = ps.basin_radius(ctx.at(ones(1)), np.zeros(1), np.array([1.0]), 1.0)
+        at = diag_quadratic([0.5]).at(ones(1))
+        r = ps.basin_radius(at, np.zeros(1), np.array([1.0]), 1.0, at.loss(np.zeros(1)))
         assert abs(r - 2.0) <= 1e-6
 
     def test_flat_loss_censored(self):
@@ -147,20 +149,22 @@ class TestBasinRadius:
             np.zeros(2),
             np.array([1.0, 0.0]),
             1.0,
+            0.0,
         )
         assert r == math.inf
 
     def test_center_outside_rejected(self):
-        ctx = diag_quadratic([2.0])
+        at = diag_quadratic([2.0]).at(ones(1))
         with pytest.raises(ValueError):
-            ps.basin_radius(ctx.at(ones(1)), np.array([5.0]), np.array([1.0]), 1.0)
+            ps.basin_radius(at, np.array([5.0]), np.array([1.0]), 1.0, at.loss(np.array([5.0])))
 
     def test_given_center_loss(self):
-        # a passed center loss replaces the center evaluation, gives the same
-        # radius, and is still checked against the cutoff
+        # the passed center loss is the only center evaluation, gives the
+        # evaluated center's radius, and is still checked against the cutoff
         ctx = CountingContext(diag_quadratic([2.0, 0.5]))
         d = np.array([0.6, 0.8])
-        r = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0)
+        at = ctx.at(ones(2))
+        r = ps.basin_radius(at, np.zeros(2), d, 1.0, at.loss(np.zeros(2)))
         evaluated = ctx.calls
         ctx.calls = 0
         assert ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0, 0.0) == r
@@ -169,10 +173,10 @@ class TestBasinRadius:
             ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0, 1.0)
 
     def test_cutoff_scaling_sqrt2(self):
-        ctx = QuadraticContext(np.diag([1.3, 0.2]))
+        at = QuadraticContext(np.diag([1.3, 0.2])).at(ones(2))
         d = np.array([0.6, 0.8])
-        r1 = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 0.5)
-        r2 = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), d, 1.0)
+        r1 = ps.basin_radius(at, np.zeros(2), d, 0.5, at.loss(np.zeros(2)))
+        r2 = ps.basin_radius(at, np.zeros(2), d, 1.0, at.loss(np.zeros(2)))
         assert abs(r2 - math.sqrt(2.0) * r1) <= 1e-6
 
 
@@ -187,7 +191,8 @@ def _exp_cliff(crossing):
 
 def _radius_1d(loss, cutoff=1.0):
     ctx = CountingContext(loss)
-    r = ps.basin_radius(ctx.at(ones(1)), np.zeros(1), np.array([1.0]), cutoff)
+    at = ctx.at(ones(1))
+    r = ps.basin_radius(at, np.zeros(1), np.array([1.0]), cutoff, at.loss(np.zeros(1)))
     return r, ctx.calls
 
 
@@ -201,7 +206,8 @@ class TestRootFinder:
         for i in range(500):
             phi = ps.random_unit_direction(ones(2), rng.derive(i))
             ctx = CountingContext(diag_quadratic(diag))
-            r = ps.basin_radius(ctx.at(ones(2)), np.zeros(2), phi, 1.0)
+            at = ctx.at(ones(2))
+            r = ps.basin_radius(at, np.zeros(2), phi, 1.0, at.loss(np.zeros(2)))
             assert abs(r - math.sqrt(2.0 / float(phi @ (diag * phi)))) <= RADIUS_TOL
             assert ctx.calls <= 25
 
@@ -341,7 +347,7 @@ class TestInterpolation:
 
     def test_point_count(self):
         ctx = diag_quadratic([1.0])
-        curve = ps.interpolate_losses(ctx, np.zeros(1), np.ones(1))
+        curve = ps.interpolate_losses(ctx, np.zeros(1), np.ones(1), 501)
         assert curve.alphas.size == 501
         assert curve.losses.size == 501
 
@@ -370,50 +376,47 @@ class TestSurfaceGrid:
     def _ctx(self):
         return diag_quadratic([1.0, 2.0, 3.0])
 
+    def _unit_anchors(self):
+        return {
+            "origin": np.zeros(3),
+            "x": np.array([1.0, 0.0, 0.0]),
+            "y": np.array([0.0, 1.0, 0.0]),
+        }
+
     def test_cell_count(self):
-        anchors = (
-            np.zeros(3),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0]),
-        )
-        grid = ps.surface_grid(self._ctx(), anchors, [], rows=6, cols=7)
+        grid = ps.surface_grid(self._ctx(), self._unit_anchors(), 6, 7, 0.3, 10.0)
         assert grid.losses.shape == (6, 7)
 
     def test_in_plane_reconstruction(self):
         gen = np.random.default_rng(1)
-        anchors = tuple(gen.normal(size=3) for _ in range(3))
-        grid = ps.surface_grid(self._ctx(), anchors, [], rows=4, cols=4)
-        for point, anchor in zip(grid.points, anchors):
+        anchors = {name: gen.normal(size=3) for name in "abc"}
+        grid = ps.surface_grid(self._ctx(), anchors, 4, 4, 0.3, 10.0)
+        for point, anchor in zip(grid.points, anchors.values()):
             rebuilt = grid.origin + point.x * grid.u + point.y * grid.v
             np.testing.assert_allclose(rebuilt, anchor, atol=1e-10)
             assert point.projection_residual <= 1e-10
 
     def test_off_plane_residual(self):
-        anchors = (
-            np.zeros(3),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0]),
-        )
-        off = np.array([0.2, 0.3, 5.0])
-        grid = ps.surface_grid(self._ctx(), anchors, [off], rows=4, cols=4)
+        points = {**self._unit_anchors(), "off": np.array([0.2, 0.3, 5.0])}
+        grid = ps.surface_grid(self._ctx(), points, 4, 4, 0.3, 10.0)
+        assert [p.name for p in grid.points] == ["origin", "x", "y", "off"]
         assert grid.points[-1].projection_residual == pytest.approx(5.0, abs=1e-12)
+
+    def test_fewer_than_three_anchors_rejected(self):
+        with pytest.raises(ValueError, match="three anchors"):
+            ps.surface_grid(self._ctx(), {"a": np.zeros(3), "b": np.ones(3)}, 4, 4, 0.3, 10.0)
 
     def test_poi_losses_are_their_own(self):
         gen = np.random.default_rng(2)
-        anchors = tuple(gen.normal(size=3) for _ in range(3))
+        anchors = {name: gen.normal(size=3) for name in "abc"}
         ctx = self._ctx()
-        grid = ps.surface_grid(ctx, anchors, [], rows=4, cols=4)
-        for point, anchor in zip(grid.points, anchors):
+        grid = ps.surface_grid(ctx, anchors, 4, 4, 0.3, 10.0)
+        for point, anchor in zip(grid.points, anchors.values()):
             assert point.loss == ctx.loss(anchor, ones(3))
 
     def test_clipping_flags(self):
         ctx = diag_quadratic([200.0, 200.0, 200.0])
-        anchors = (
-            np.zeros(3),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0]),
-        )
-        grid = ps.surface_grid(ctx, anchors, [], rows=5, cols=5, loss_cap=10.0)
+        grid = ps.surface_grid(ctx, self._unit_anchors(), 5, 5, 0.3, 10.0)
         assert grid.clipped.any()
         assert np.all(grid.losses[grid.clipped] > 10.0)
 
@@ -477,6 +480,34 @@ class TestTaylorPruneEstimate:
         # Hutchinson's diagonal is exact in expectation; on a DIAGONAL
         # quadratic each probe's z_i * (H z)_i = H_ii exactly
         assert abs(predicted - actual) <= 1e-3
+
+    def test_hutchinson_is_the_mean_of_its_samples(self):
+        # bit for bit, signed zeros of the masked coordinates included
+        ctx, w = random_net_ctx(5)
+        mask = ps.dense_mask(ctx.spec)
+        mask[[3, 11]] = False
+        rng = ps.RngStream(4)
+        hessian = ctx.at(mask).hvp_at(w)
+        samples = []
+        for j in range(9):
+            z = (rng.derive(j).generator().integers(0, 2, size=mask.size) * 2.0 - 1.0) * mask
+            samples.append(z * hessian(z))
+        diag = hutchinson_diagonal(ctx, w, mask, 9, rng)
+        assert diag.tobytes() == np.mean(samples, axis=0).tobytes()
+
+    def test_hutchinson_holds_no_probe_samples(self):
+        # the peak grows by less than two parameter vectors from 10 to 50
+        # probes on a net with 128-wide hidden layers at 300 rows
+        spec = ps.NetworkSpec((2, 128, 128, 3))
+        ctx = spirals_context(spec, 100, 3, 0.15, ps.RngStream(1))
+        w = ps.init_params(spec, ps.RngStream(2))
+        peaks = []
+        for probes in (10, 50):
+            tracemalloc.start()
+            hutchinson_diagonal(ctx, w, ps.dense_mask(spec), probes, ps.RngStream(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * w.nbytes
 
     def test_pruning_zero_coordinate_contributes_nothing(self):
         ctx = diag_quadratic([2.0, 3.0])

@@ -3,6 +3,7 @@ import types
 from pathlib import Path
 
 import prunescope as ps
+from prunescope.experiment.pipeline import STAGES
 
 SRC = Path(ps.__file__).resolve().parent
 
@@ -74,3 +75,30 @@ def test_no_module_imports_a_name_it_never_uses():
         rel = path.relative_to(SRC)
         unused += [f"{rel}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_analysis_rows_are_named_only_by_the_tables():
+    # the analysis stages and the trend criteria index pipeline._rows; only
+    # the table functions apply the level-name rules or spell a profile or
+    # interp name
+    analysis = STAGES[STAGES.index("metrics") : STAGES.index("taylor") + 1]
+    pipeline = ast.parse((SRC / "experiment/pipeline.py").read_text(encoding="utf-8"))
+    stages = [
+        node for node in pipeline.body
+        if isinstance(node, ast.FunctionDef) and node.name in {f"stage_{s}" for s in analysis}
+    ]
+    assert len(stages) == len(analysis)
+    trends = ast.parse((SRC / "experiment/trends.py").read_text(encoding="utf-8"))
+    rules = {"level_name", "projection_name"}
+    literals = {"final_min", "final_projected_prev", "interp_random_reinit"}
+    found = []
+    for tree in (*stages, trends):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in rules:
+                    found.append(f"line {node.lineno}: calls {name}")
+            elif isinstance(node, ast.Constant) and node.value in literals:
+                found.append(f"line {node.lineno}: {node.value!r}")
+    assert found == []

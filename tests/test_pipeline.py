@@ -212,18 +212,60 @@ class TestStagesReadTheDisk:
         # the final and previous levels and the two projections between them
         out, _ = fresh
         levels = criterion2_config().imp.levels
-        points = pipeline._points(levels)
-        profiles = {
-            "final_min": pruning.level_name(levels),
-            "final_projected_prev": pruning.projection_name(levels - 1, levels),
-            "prev_min": pruning.level_name(levels - 1),
-            "prev_reverse_final": pruning.projection_name(levels, levels - 1),
+        table = pipeline._rows(levels)
+        points, profiles = table.points, table.radius
+        assert set(profiles.values()) == {
+            pruning.level_name(levels),
+            pruning.projection_name(levels - 1, levels),
+            pruning.level_name(levels - 1),
+            pruning.projection_name(levels, levels - 1),
         }
         for csv, names in (("eigen_summary.csv", dict(zip(points, points))), ("radius_summary.csv", profiles)):
             rows = read_csv_dicts(out / "analysis" / csv)
             assert [row["name"] for row in rows] == list(names)
             for row in rows:
                 assert row["checkpoints"] == pipeline._refs(*points[names[row["name"]]])
+
+    def test_every_analysis_row_is_a_table_row(self, fresh):
+        # each analysis CSV's row names, in order, with their references cells
+        out, _ = fresh
+        table = pipeline._rows(criterion2_config().imp.levels)
+        refs, points = pipeline._refs, table.points
+        impact = refs(points[table.projected[-1]][0])
+        expected = {  # csv -> (the columns that name a row, [(name, references)])
+            "eigen_summary.csv": (("name",), [((n,), refs(*p)) for n, p in points.items()]),
+            "radius_summary.csv": (
+                ("name",), [((n,), refs(*points[p])) for n, p in table.radius.items()]
+            ),
+            "interp_summary.csv": (("name",), [((n,), refs(*p)) for n, p in table.interp.items()]),
+            "geometry.csv": (("point_a", "point_b"), [(p, refs(*p)) for p in table.geometry]),
+            "surface_points.csv": (("name",), [((n,), refs(n)) for n in table.surface]),
+            "taylor.csv": (
+                ("base", "variant"),
+                [((b, v), refs(b)) for b in table.taylor for v in ("smallest", "largest")],
+            ),
+            "rewind_distances.csv": (
+                ("level",), [((str(L),), refs(*points[p])) for L, p in enumerate(table.projected, 1)]
+            ),
+            "prune_impact.csv": (("strategy",), [((s,), impact) for s in ("magnitude", "random")]),
+        }
+        for csv, (keys, rows) in expected.items():
+            got = [
+                (tuple(row[k] for k in keys), row.get("checkpoints", row.get("checkpoint")))
+                for row in read_csv_dicts(out / "analysis" / csv)
+            ]
+            assert got == rows, csv
+
+    def test_short_eigen_report_warns(self, fresh, tmp_path):
+        # at k = 40 some of the 71-99 active dimensions carry no positive
+        # curvature; each such point's V' sums fewer values, and says so
+        out = self._resumed_copy(fresh, tmp_path)
+        cfg = criterion2_config()
+        cfg = replace(cfg, analysis=replace(cfg.analysis, k=40))
+        with pytest.warns(UserWarning, match="for k=40") as record:
+            pipeline.stage_eigen(PipelineState(cfg, out))
+        short = [r for r in read_csv_dicts(out / "analysis/eigen_summary.csv") if int(r["n_positive"]) < 40]
+        assert short and len([w for w in record if "for k=40" in str(w.message)]) == len(short)
 
     def test_checkpoint_headers_match_the_evaluator(self, fresh):
         # each header's train loss and test accuracy are the evaluator's on
